@@ -21,7 +21,7 @@ from pathlib import Path
 
 import build
 
-WORKLOADS = ("amazon_spark_smc", "amazon_pages_mem")
+WORKLOADS = ("amazon_spark_smc", "amazon_spark_cached")
 HEAP = "2g"
 TIMEOUT_S = 170
 
@@ -69,8 +69,7 @@ def main() -> int:
     tmp.mkdir(parents=True, exist_ok=True)
     cmd = (["java", f"-Xms{HEAP}", f"-Xmx{HEAP}", "-XX:-UsePerfData",
             f"-Djava.io.tmpdir={tmp}",
-            f"-Dlog4j2.configurationFile={build.BENCH_DIR / 'log4j2.properties'}",
-            "-Dspark.ui.enabled=false"]
+            f"-Dlog4j2.configurationFile={build.BENCH_DIR / 'log4j2.properties'}"]
            + JAVA_MODULE_OPTS
            + ["-cp", f"{classes}{os.pathsep}{jars / '*'}", "fedbench.Main",
               "--workload", args.workload, "--seed", str(args.seed),

@@ -70,26 +70,16 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
     check(s"raw input has ${wl.rawRows} rows")(rawRows == wl.rawRows)
     val rawCachedBytes = cachedBytes()
 
-    // ---- with a parquet store, an untimed build on a small input at the same
-    // S first: the first parquet write and read in a JVM pay class loading,
-    // JIT and code generation, which cost less on a few files than on all
     val storeRoot = opts.out.resolve(s"store-${wl.name}")
     Dirs.deleteRecursively(storeRoot)
-    if (wl.sparkScan) {
-      val warmRaw = wl.raw(spark, WarmBuildRows, seed + 1).cache()
-      Setup.build(spark, warmRaw, wl.dims.map(_.name), NProviders,
-        wl.clusterFracFor(WarmBuildRows), wl.cfg, wl.storage(storeRoot.resolve("warm")),
-        seed = wl.splitSeed(seed), skewProviders = wl.skewProviders)
-      warmRaw.unpersist(blocking = true)
-      say("warm-up build done")
-    }
 
-    // ---- set-up, several times; the last build is the one queried
-    val builds = mutable.ArrayBuffer.empty[BuildTimes]
-    var live: Option[(FederationSetup, Option[InMemoryClusterEval])] = None
+    // ---- set-up, several times; the last build is the one queried. The
+    // first pays the JVM's class loading, JIT and code generation.
+    val builds = mutable.ArrayBuffer.empty[Double]
+    var live: Option[FederationSetup] = None
     var builtPrints = Vector.empty[(Long, String)] // (tensor rows, metadata SHA-256)
     for (i <- 0 until SetupReps) {
-      live.foreach { case (s, _) => s.clustered.unpersist(blocking = true) }
+      live.foreach(_.clustered.unpersist(blocking = true))
       live = None
       Dirs.deleteRecursively(storeRoot)
       fullGc()
@@ -99,30 +89,26 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
         Setup.build(spark, raw, wl.dims.map(_.name), NProviders, wl.clusterFrac, wl.cfg,
           wl.storage(dir), seed = wl.splitSeed(seed), skewProviders = wl.skewProviders)
       }
-      val t1 = System.nanoTime()
-      val mem =
-        if (wl.sparkScan) None
-        else Some(tr.span("core.inmem_load", -1)(
-          InMemoryClusterEval.fromDataFrame(setup.clustered, setup.dims)))
-      val t2 = System.nanoTime()
-      builds += BuildTimes(ms(t0, t1) / 1e3, ms(t1, t2) / 1e3)
-      live = Some((setup, mem))
+      val buildS = ms(t0, System.nanoTime()) / 1e3
+      builds += buildS
+      live = Some(setup)
       builtPrints :+= (setup.metas.map(_.clusters.map(_.nRows).sum).sum, MetaDigest.sha256(setup.metas))
-      say(f"setup $i: build ${ms(t0, t1) / 1e3}%.3f s, in-memory load ${ms(t1, t2) / 1e3}%.3f s")
+      say(f"setup $i: build $buildS%.3f s")
     }
-    val (setup, memOpt) = live.get
+    val setup = live.get
     check("every set-up builds the same federation")(builtPrints.distinct.size == 1)
     val fp = fingerprintOf(setup, rawRows)
     check("tensor rows counted in the store equal those in the metadata")(
       fp.tensorRows == builtPrints.last._1)
     check("Σ measure equals the raw row count")(fp.measureSum == rawRows)
-    val book = new FingerprintBook(opts.fingerprints, opts.out.resolve("fingerprints.local.tsv"))
-    val (recorded, source) = book.lookupOrRecord(wl.name, seed, fp)
-    say(s"fingerprint ${fp.line(wl.name, seed)} ($source)")
-    check(s"input fingerprint matches the $source record")(fp == recorded)
+    say(s"fingerprint ${fp.line(wl.name, seed)}")
+    FingerprintBook.read(opts.fingerprints).get((wl.name, seed)) match {
+      case Some(recorded) => check("input fingerprint matches the recorded one")(fp == recorded)
+      case None => say(s"NO FINGERPRINT RECORDED for seed $seed: inputs not compared")
+    }
 
     val (storeFiles, storeBytes) =
-      if (wl.sparkScan) Dirs.parquetStats(storeRoot) else (0L, cachedBytes() - rawCachedBytes)
+      if (wl.parquet) Dirs.parquetStats(storeRoot) else (0L, cachedBytes() - rawCachedBytes)
 
     fullGc()
     val heap = ManagementFactory.getMemoryMXBean.getHeapMemoryUsage.getUsed / (1024.0 * 1024.0)
@@ -147,15 +133,8 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
 
     // ---- the federation the client queries, and an in-memory one over the
     // same clustered tensor that replays runs for error samples and checks
-    val (fed, eval, replayFed) = memOpt match {
-      case Some(mem) =>
-        val f = memFederation(setup, mem)
-        (f, mem: ClusterEval, f)
-      case None =>
-        val mem = tr.span("core.inmem_load", -1)(
-          InMemoryClusterEval.fromDataFrame(setup.clustered, setup.dims))
-        (setup.federation, setup.eval, memFederation(setup, mem))
-    }
+    val fed = setup.federation
+    val replayFed = tr.span("core.inmem_load", -1)(setup.inMemory(wl.cfg))
     val queries = wl.queries(fed, seed)
     val nQ = queries.size
     say(s"${wl.name}: seed $seed, ${fp.tensorRows} tensor rows, S = ${setup.S}, " +
@@ -167,42 +146,35 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
     exact.zipWithIndex.foreach { case (e, i) =>
       check(s"exact answer of query $i is finite")(!e.isNaN && !e.isInfinite)
     }
-    if (!wl.sparkScan) {
-      val sparkEval = new SparkClusterEval(setup.clustered)
-      spreadSample(nQ, CrossCheckQueries).foreach(i =>
-        check(s"Spark exact equals in-memory exact for query $i")(
-          sparkEval.exactTotal(queries(i)) == exact(i)))
-    }
-    say("exact answers computed and cross-checked")
-
-    // the in-memory workload's client is one thread: with its threads free
-    // to move between CPUs, the same run settles at either of two speeds
-    // about 2x apart; pinned to one CPU, it settles at the faster
-    val pinned = if (wl.sparkScan) None else Affinity.pinToOneCpu()
-    pinned.foreach { case (_, cpu) => say(s"client pinned to CPU $cpu") }
+    say("exact answers computed")
 
     def runAt(f: Federation, t: Long): RunResult = {
       val i = Math.floorMod(t, nQ.toLong).toInt
       f.run(queries(i), wl.sr, wl.eps, wl.useSmc, noiseSeed(t), Some((exact(i), 0.0)))
     }
 
-    // ---- warm-up: blocks of runs until the block median stops falling
-    warmUp { (k, b) => runAt(fed, -1L - (k.toLong * wl.warmBlock + b)) }
+    // ---- warm-up
+    warmUp(j => runAt(fed, -1L - j))
     if (opts.trace) {
       val untimed = new Tracer(None)
-      (0 until math.min(nQ, wl.warmBlock)).foreach(i =>
-        Replay.run(fed, eval, queries(i), wl.sr, wl.eps, wl.useSmc, noiseSeed(-1L - i), untimed, i))
+      (0 until math.min(nQ, WarmBlock)).foreach(i =>
+        Replay.run(fed, setup.eval, queries(i), wl.sr, wl.eps, wl.useSmc, noiseSeed(-1L - i), untimed, i))
     }
 
-    // ---- timed window
+    // ---- timed window: protocol runs cycle through the queries, with an
+    // exact scan after every ExactEvery steps, so that both samples cover
+    // the same stretch of time on a shared host
     val approx = mutable.ArrayBuffer.empty[(Long, Double, RunResult)]
     val traced = mutable.ArrayBuffer.empty[(Long, Double, Replayed)]
-    val approxBudgetS = opts.seconds * ApproxShare
+    val exactMs = mutable.ArrayBuffer.empty[Double]
+    (0 until math.min(nQ, ExactWarmScans)).foreach(i => fed.exactWithTime(queries(i)))
     System.gc()
     val w0 = System.nanoTime()
     var t = 0L
-    def samples = if (opts.trace) traced.size else approx.size
-    while (ms(w0, System.nanoTime()) < approxBudgetS * 1e3 || samples < MinSamples) {
+    var u = 0
+    def enough = exactMs.size >= MinExactSamples &&
+      (if (opts.trace) traced.size >= MinTracedSamples else approx.size >= MinSamples)
+    while (ms(w0, System.nanoTime()) < opts.seconds * 1e3 || !enough) {
       val i = (t % nQ).toInt
       def plain(): Unit = {
         val a0 = System.nanoTime()
@@ -211,7 +183,7 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
       }
       def replay(): Unit = {
         val a0 = System.nanoTime()
-        attempt(s"traced replay #$t")(Replay.run(fed, eval, queries(i), wl.sr, wl.eps,
+        attempt(s"traced replay #$t")(Replay.run(fed, setup.eval, queries(i), wl.sr, wl.eps,
           wl.useSmc, noiseSeed(t), tr, t)).foreach(r => traced += ((t, ms(a0, System.nanoTime()), r)))
       }
       // traced: every step replays; every other step also times the plain
@@ -221,28 +193,21 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
       else if (t % 4 == 0) { plain(); replay() }
       else { replay(); plain() }
       t += 1
+      if (t % ExactEvery == 0) {
+        val e = u % nQ
+        val a0 = System.nanoTime()
+        attempt(s"Federation.exactWithTime #$u") {
+          if (opts.trace) tr.span("core.exact", ExactQueryBase + u)(fed.exactWithTime(queries(e)))
+          else fed.exactWithTime(queries(e))
+        }.foreach { case (v, _) =>
+          exactMs += ms(a0, System.nanoTime())
+          check(s"timed exact answer of query $e equals the in-memory exact")(v == exact(e))
+        }
+        u += 1
+      }
     }
     val windowS = ms(w0, System.nanoTime()) / 1e3
-    val exactMs = mutable.ArrayBuffer.empty[Double]
-    (0 until math.min(nQ, ExactWarmScans)).foreach(i => fed.exactWithTime(queries(i)))
-    System.gc()
-    val e0 = System.nanoTime()
-    var u = 0
-    while (ms(e0, System.nanoTime()) < opts.seconds * (1 - ApproxShare) * 1e3 ||
-           exactMs.size < MinExactSamples) {
-      val i = u % nQ
-      val a0 = System.nanoTime()
-      attempt(s"Federation.exactWithTime #$u") {
-        if (opts.trace) tr.span("core.exact", ExactQueryBase + u)(fed.exactWithTime(queries(i)))
-        else fed.exactWithTime(queries(i))
-      }.foreach { case (v, _) =>
-        exactMs += ms(a0, System.nanoTime())
-        check(s"timed exact answer of query $i equals the in-memory exact")(v == exact(i))
-      }
-      u += 1
-    }
-
-    pinned.foreach { case (cpus, _) => Affinity.restore(cpus) }
+    val protocolS = windowS - exactMs.sum / 1e3
 
     // ---- outputs, checked outside the clock
     val byStep: Map[Long, RunResult] = approx.iterator.map(x => x._1 -> x._3).toMap
@@ -251,7 +216,7 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
     }
     val replayed = mutable.Map.empty[Long, RunResult]
     def replayAt(s: Long): RunResult = replayed.getOrElseUpdate(s, runAt(replayFed, s))
-    if (wl.sparkScan) approx.foreach { case (s, _, r) =>
+    approx.foreach { case (s, _, r) =>
       check(s"Spark run #$s equals its in-memory replay")(sameBits(r.answer, replayAt(s).answer))
     }
     // a replay without a timed plain run at its step is compared with
@@ -260,10 +225,9 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
       check(s"traced replay #$s equals Federation.run")(
         sameBits(byStep.getOrElse(s, replayAt(s)).answer, rep.answer))
     }
-    val errRuns = (0L until wl.errPairs.toLong).flatMap { s =>
-      val r = if (wl.sparkScan) Some(replayAt(s))
-              else byStep.get(s).orElse(attempt(s"error replay #$s")(replayAt(s)))
-      r.foreach(x => check(s"error sample #$s is finite")(!x.answer.isNaN && !x.answer.isInfinite))
+    val errRuns = (0L until ErrPairs).map { s =>
+      val r = replayAt(s)
+      check(s"error sample #$s is finite")(!r.answer.isNaN && !r.answer.isInfinite)
       r
     }
     say("outputs checked")
@@ -282,12 +246,12 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
     val metrics =
       if (!opts.trace) Seq(
         Metric("query_ms_p50", qP50, "ms"),
-        Metric("query_ms_p90", Stats.pct(queryMs, 0.9), "ms"),
-        Metric("queries_per_s", approx.size / windowS, "1/s"),
+        Metric("query_ms_p80", Stats.pct(queryMs, 0.8), "ms"),
+        Metric("queries_per_s", approx.size / protocolS, "1/s"),
         Metric("exact_ms_p50", exactP50, "ms"),
         Metric("rel_err_p50", Stats.median(rel(r => r.answer - r.exact)), "ratio"),
         Metric("rel_err_p90", Stats.pct(rel(r => r.answer - r.exact), 0.9), "ratio"),
-        Metric("setup_s", Stats.median(builds.map(_.total)), "s"),
+        Metric("setup_s", Stats.median(builds), "s"),
         Metric("metadata_bytes", metadataBytes.toDouble, "bytes"),
         Metric("retained_heap_mb", heap, "MB"))
       else {
@@ -306,37 +270,18 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
 
   def counts: (Long, Long) = (attempted, failed)
 
-  /** Protocol runs per warm-up block are cycled through the query set; stop
-    * once a block's median is no longer below the best so far by more than
-    * [[WarmTolerance]] (at least [[MinWarmBlocks]], at most [[MaxWarmBlocks]]
-    * blocks or [[MaxWarmS]] seconds).
+  /** [[WarmBlocks]] blocks of [[WarmBlock]] protocol runs, cycling through
+    * the query set; prints each block's median.
     */
-  private def warmUp(step: (Int, Int) => Unit): Unit = {
-    val w0 = System.nanoTime()
-    var best = Double.PositiveInfinity
-    var k = 0
-    var done = false
-    val medians = mutable.ArrayBuffer.empty[Double]
-    while (!done) {
-      val times = (0 until wl.warmBlock).map { b =>
+  private def warmUp(step: Int => Unit): Unit = {
+    val medians = (0 until WarmBlocks).map { k =>
+      Stats.median((0 until WarmBlock).map { b =>
         val a0 = System.nanoTime()
-        step(k, b)
+        step(k * WarmBlock + b)
         ms(a0, System.nanoTime())
-      }
-      val m = Stats.median(times)
-      medians += m
-      val falling = m < best * (1 - WarmTolerance)
-      best = math.min(best, m)
-      k += 1
-      done = k >= MaxWarmBlocks || ms(w0, System.nanoTime()) > MaxWarmS * 1e3 ||
-        (k >= MinWarmBlocks && !falling)
+      })
     }
     say(s"warm-up block medians (ms): ${medians.map(m => f"$m%.3f").mkString(" ")}")
-  }
-
-  private def memFederation(setup: FederationSetup, mem: InMemoryClusterEval): Federation = {
-    val c = wl.cfg
-    new Federation(setup.metas.map(new DataProvider(_, mem, c.nMin, c.rFloorFrac)), mem, c)
   }
 
   private def fingerprintOf(setup: FederationSetup, rawRows: Long): Fingerprint = {
@@ -349,7 +294,7 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
 
   private def traceMetrics(tr: Tracer, counters: SparkCounters,
                            traced: Seq[(Long, Double, Replayed)], qP50: Double,
-                           builds: Seq[BuildTimes], metadataBuildS: Double,
+                           builds: Seq[Double], metadataBuildS: Double,
                            storeFiles: Long, storeBytes: Long, setup: FederationSetup,
                            fp: Fingerprint, errSampling: Seq[Double], errNoise: Seq[Double],
                            scaleRel: Seq[Double]): Seq[Metric] = {
@@ -388,7 +333,7 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
       Metric("err.sampling_p50", Stats.median(errSampling), "ratio"),
       Metric("err.noise_p50", Stats.median(errNoise), "ratio"),
       Metric("dp.noise_scale_rel_p50", Stats.median(scaleRel), "ratio"),
-      Metric("setup.build_s", Stats.median(builds.map(_.buildS)), "s"),
+      Metric("setup.build_s", Stats.median(builds), "s"),
       Metric("core.metadata_build_s", metadataBuildS, "s"),
       Metric("spark.setup_jobs", setupC.jobs.toDouble / builds.size, "count"),
       Metric("spark.setup_tasks", setupC.tasks.toDouble / builds.size, "count"),
@@ -426,32 +371,24 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
 
 object Bench {
   val NProviders = 4
-  val SetupReps = 3
-  val WarmBuildRows = 20000L
-  /** Share of the run's seconds given to `Federation.run`; the rest times
-    * `Federation.exactWithTime`.
-    */
-  val ApproxShare = 0.8
-  /** At least ten samples above p90. */
-  val MinSamples = 100
+  val SetupReps = 2
+  /** At least ten samples above p80, the end-to-end tail percentile. */
+  val MinSamples = 50
+  /** At least ten traced samples above p90, the per-layer tail percentile. */
+  val MinTracedSamples = 100
   val MinExactSamples = 7
-  val CrossCheckQueries = 4
-  val ExactWarmScans = 3
-  val MinWarmBlocks = 3
-  val MaxWarmBlocks = 5
-  val MaxWarmS = 15.0
-  val WarmTolerance = 0.03
+  /** Protocol steps between two timed exact scans. */
+  val ExactEvery = 6
+  val ExactWarmScans = 2
+  val WarmBlocks = 3
+  val WarmBlock = 8
+  /** (query, noise-seed) samples behind `rel_err_*` and `err.*`: four noise
+    * seeds for each of the 192 queries.
+    */
+  val ErrPairs = 768L
   /** Query ids of exact-scan spans start here, above any protocol run's. */
   val ExactQueryBase = 1000000000L
 
-  final case class BuildTimes(buildS: Double, loadS: Double) {
-    def total: Double = buildS + loadS
-  }
-
   def sameBits(a: Double, b: Double): Boolean =
     java.lang.Double.doubleToLongBits(a) == java.lang.Double.doubleToLongBits(b)
-
-  /** `k` indices spread evenly over `0 until n`. */
-  def spreadSample(n: Int, k: Int): Seq[Int] =
-    if (n <= k) 0 until n else (0 until k).map(j => j * n / k)
 }

@@ -13,7 +13,6 @@ object Main {
     val wl = Workload.byName(opts.workload)
     Files.createDirectories(opts.out)
     val spark = Session.create(opts.out)
-    spark.sparkContext.setLogLevel("ERROR")
     val code =
       try {
         val bench = new Bench(spark, wl, opts)

@@ -115,56 +115,15 @@ final case class Fingerprint(rawRows: Long, tensorRows: Long, measureSum: Long, 
     s"$workload\t$seed\t$rawRows\t$tensorRows\t$measureSum\t$metaSha"
 }
 
-/** Recorded fingerprints: the committed table, plus a local table in the
-  * output directory where a seed the committed table lacks is recorded on
-  * its first run and checked on every later one.
-  */
-final class FingerprintBook(committed: Path, local: Path) {
-  private def read(p: Path): Map[(String, Long), Fingerprint] =
-    if (!Files.exists(p)) Map.empty
-    else Files.readAllLines(p, StandardCharsets.UTF_8).asScala.iterator
+/** The committed table of recorded fingerprints, keyed by (workload, seed). */
+object FingerprintBook {
+  def read(p: Path): Map[(String, Long), Fingerprint] =
+    Files.readAllLines(p, StandardCharsets.UTF_8).asScala.iterator
       .map(_.trim).filter(l => l.nonEmpty && !l.startsWith("#"))
       .map { l =>
         val f = l.split("\t")
         (f(0), f(1).toLong) -> Fingerprint(f(2).toLong, f(3).toLong, f(4).toLong, f(5))
       }.toMap
-
-  /** The recorded fingerprint and where it came from, recording `fp`
-    * locally when neither table has the seed.
-    */
-  def lookupOrRecord(workload: String, seed: Long, fp: Fingerprint): (Fingerprint, String) =
-    read(committed).get((workload, seed)).map(_ -> "committed")
-      .orElse(read(local).get((workload, seed)).map(_ -> "local"))
-      .getOrElse {
-        Files.createDirectories(local.getParent)
-        Files.writeString(local, fp.line(workload, seed) + "\n", StandardCharsets.UTF_8,
-          java.nio.file.StandardOpenOption.CREATE, java.nio.file.StandardOpenOption.APPEND)
-        fp -> "recorded now"
-      }
-}
-
-/** CPU affinity of every thread of this JVM, through Linux `taskset`. */
-object Affinity {
-  private def pid = ProcessHandle.current().pid().toString
-
-  private def taskset(args: String*): Option[String] =
-    try {
-      val p = new ProcessBuilder(("taskset" +: args): _*).redirectErrorStream(true).start()
-      val out = new String(p.getInputStream.readAllBytes(), StandardCharsets.UTF_8).trim
-      if (p.waitFor() == 0) Some(out) else None
-    } catch { case _: java.io.IOException => None }
-
-  /** Pin every thread to the highest CPU this JVM may use; returns the
-    * previous affinity list, or None if `taskset` is unavailable.
-    */
-  def pinToOneCpu(): Option[(String, Int)] =
-    for {
-      current <- taskset("-c", "-p", pid).map(_.split(": ").last.trim)
-      cpu = current.split(",").flatMap(_.split("-").lastOption).map(_.toInt).max
-      _ <- taskset("-a", "-c", "-p", cpu.toString, pid)
-    } yield (current, cpu)
-
-  def restore(cpus: String): Unit = taskset("-a", "-c", "-p", cpus, pid)
 }
 
 object Dirs {

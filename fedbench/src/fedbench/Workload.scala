@@ -15,15 +15,13 @@ import repro.harness.Tables
   * skewed provider split, the paper's default configuration and ε = 1;
   * inputs derive from the run's seed.
   *
-  * @param sparkScan  queries go through `Setup.build`'s `SparkClusterEval`
-  *                   (parquet store); otherwise through an
-  *                   `InMemoryClusterEval` built from the same clustered tensor
-  * @param errPairs   (query, noise-seed) samples behind `rel_err_*` and `err.*`
-  * @param warmBlock  protocol runs per warm-up block
+  * Queries go through `Setup.build`'s `SparkClusterEval`.
+  *
+  * @param parquet    the store is parquet partitioned by (provider, cluster);
+  *                   otherwise a cached DataFrame
   */
 final case class Workload(name: String, rawRows: Long, clusterFrac: Double,
-                          sparkScan: Boolean, sr: Double, useSmc: Boolean,
-                          errPairs: Int, warmBlock: Int) {
+                          parquet: Boolean, sr: Double, useSmc: Boolean) {
 
   def dims: Seq[DimSpec] = Datasets.amazonDims
   def cfg: FedConfig = Tables.DefaultCfg
@@ -34,10 +32,7 @@ final case class Workload(name: String, rawRows: Long, clusterFrac: Double,
     Datasets.amazonRaw(spark, rows, seed)
 
   def storage(dir: Path): Storage =
-    if (sparkScan) Storage.Parquet(Some(dir.toString)) else Storage.Cached
-
-  /** Cluster fraction giving the same cluster size S on `rows` raw rows. */
-  def clusterFracFor(rows: Long): Double = math.min(1.0, clusterFrac * rawRows / rows)
+    if (parquet) Storage.Parquet(Some(dir.toString)) else Storage.Cached
 
   /** Provider-split seed: disjoint from the generator's per-column seeds. */
   def splitSeed(seed: Long): Long = seed * 7919L + 500L
@@ -56,21 +51,22 @@ object Workload {
 
   /** The paper's speed-up setting: parquet store scanned by Spark, sr = 5 %,
     * SMC release. S = 2 % of a provider tensor: the paper's Amazon runs used
-    * 0.5 %, but set-up time grows with the partition-file count, and three
-    * set-ups must fit in one run.
+    * 0.5 %, but set-up time grows with the partition-file count, and a
+    * whole run, set-ups included, has to stay near a minute.
     */
   val amazonSparkSmc: Workload = Workload(
-    name = "amazon_spark_smc", rawRows = 200000L, clusterFrac = 0.02, sparkScan = true,
-    sr = 0.05, useSmc = true, errPairs = 1536, warmBlock = 12)
+    name = "amazon_spark_smc", rawRows = 100000L, clusterFrac = 0.02, parquet = true,
+    sr = 0.05, useSmc = true)
 
-  /** Page granularity: S = 250 rows, so thousands of clusters; in-memory
-    * scan, sr = 20 %, local-noise release.
+  /** A 20k-row federation kept as a cached DataFrame and scanned by Spark,
+    * sr = 5 %, local-noise release: Spark's per-query job still dominates,
+    * but no partition file is listed or opened.
     */
-  val amazonPagesMem: Workload = Workload(
-    name = "amazon_pages_mem", rawRows = 400000L, clusterFrac = 250.0 / (400000L / 4.0),
-    sparkScan = false, sr = 0.20, useSmc = false, errPairs = 480, warmBlock = 48)
+  val amazonSparkCached: Workload = Workload(
+    name = "amazon_spark_cached", rawRows = 20000L, clusterFrac = 0.02, parquet = false,
+    sr = 0.05, useSmc = false)
 
-  val all: Seq[Workload] = Seq(amazonSparkSmc, amazonPagesMem)
+  val all: Seq[Workload] = Seq(amazonSparkSmc, amazonSparkCached)
 
   def byName(name: String): Workload =
     all.find(_.name == name).getOrElse(
