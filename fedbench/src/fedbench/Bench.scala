@@ -163,7 +163,8 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
 
     // ---- timed window: protocol runs cycle through the queries, with an
     // exact scan after every ExactEvery steps, so that both samples cover
-    // the same stretch of time on a shared host
+    // the same stretch of time on a shared host. A traced step costs about
+    // two protocol runs, so a traced run spaces the scans twice as far.
     val approx = mutable.ArrayBuffer.empty[(Long, Double, RunResult)]
     val traced = mutable.ArrayBuffer.empty[(Long, Double, Replayed)]
     val exactMs = mutable.ArrayBuffer.empty[Double]
@@ -172,6 +173,7 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
     val w0 = System.nanoTime()
     var t = 0L
     var u = 0
+    val exactEvery = if (opts.trace) 2 * ExactEvery else ExactEvery
     def enough = exactMs.size >= MinExactSamples &&
       (if (opts.trace) traced.size >= MinTracedSamples else approx.size >= MinSamples)
     while (ms(w0, System.nanoTime()) < opts.seconds * 1e3 || !enough) {
@@ -193,7 +195,7 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
       else if (t % 4 == 0) { plain(); replay() }
       else { replay(); plain() }
       t += 1
-      if (t % ExactEvery == 0) {
+      if (t % exactEvery == 0) {
         val e = u % nQ
         val a0 = System.nanoTime()
         attempt(s"Federation.exactWithTime #$u") {
@@ -270,12 +272,17 @@ final class Bench(spark: SparkSession, wl: Workload, opts: Opts) {
 
   def counts: (Long, Long) = (attempted, failed)
 
-  /** [[WarmBlocks]] blocks of [[WarmBlock]] protocol runs, cycling through
-    * the query set; prints each block's median.
+  /** Blocks of [[WarmBlock]] protocol runs, cycling through the query set,
+    * until the block medians stop falling: at least [[MinWarmBlocks]]
+    * blocks, then until a block's median is at least [[WarmSettled]] times
+    * the lowest before it, at most [[MaxWarmBlocks]]. Prints each median.
     */
   private def warmUp(step: Int => Unit): Unit = {
-    val medians = (0 until WarmBlocks).map { k =>
-      Stats.median((0 until WarmBlock).map { b =>
+    val medians = mutable.ArrayBuffer.empty[Double]
+    def settled = medians.size >= MinWarmBlocks && medians.last >= WarmSettled * medians.init.min
+    while (medians.size < MaxWarmBlocks && !settled) {
+      val k = medians.size
+      medians += Stats.median((0 until WarmBlock).map { b =>
         val a0 = System.nanoTime()
         step(k * WarmBlock + b)
         ms(a0, System.nanoTime())
@@ -376,11 +383,13 @@ object Bench {
   val MinSamples = 50
   /** At least ten traced samples above p90, the per-layer tail percentile. */
   val MinTracedSamples = 100
-  val MinExactSamples = 7
+  val MinExactSamples = 24
   /** Protocol steps between two timed exact scans. */
-  val ExactEvery = 6
+  val ExactEvery = 2
   val ExactWarmScans = 2
-  val WarmBlocks = 3
+  val MinWarmBlocks = 3
+  val MaxWarmBlocks = 6
+  val WarmSettled = 0.97
   val WarmBlock = 8
   /** (query, noise-seed) samples behind `rel_err_*` and `err.*`: four noise
     * seeds for each of the 192 queries.

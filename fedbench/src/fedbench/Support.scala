@@ -32,6 +32,14 @@ object Opts {
 /** The pinned Spark session: a fixed `local[N]` master and a fixed default
   * parallelism, so `spark.range` — and therefore every generated input —
   * is split into the same partitions on any machine.
+  *
+  * Spark's query-time code generation is off (no whole-stage code, no
+  * generated expressions; adaptive execution off, 2 shuffle partitions).
+  * Every protocol query carries new literals, so with code generation on
+  * each one compiled fresh Java source, and that compile, paced by the
+  * JIT's progress and the host's load, set both the latency and its
+  * spread between runs. Interpreted evaluation measures the plan, the job
+  * and the scan instead.
   */
 object Session {
   val Parallelism = 4
@@ -42,7 +50,10 @@ object Session {
       .master(s"local[$cores]")
       .appName("fedbench")
       .config("spark.default.parallelism", Parallelism.toString)
-      .config("spark.sql.shuffle.partitions", (2 * Parallelism).toString)
+      .config("spark.sql.shuffle.partitions", "2")
+      .config("spark.sql.adaptive.enabled", "false")
+      .config("spark.sql.codegen.wholeStage", "false")
+      .config("spark.sql.codegen.factoryMode", "NO_CODEGEN")
       .config("spark.sql.autoBroadcastJoinThreshold", "-1")
       .config("spark.ui.enabled", "false")
       .config("spark.driver.host", "127.0.0.1")
