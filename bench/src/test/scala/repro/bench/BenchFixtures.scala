@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.federation.{FederationSetup, Storage}
+import repro.federation.Storage
 import repro.harness.Tables
 
 /** Shared bench-scale federations, built once per bench JVM.
@@ -16,16 +16,16 @@ object BenchFixtures {
   private def env(name: String, default: Long): Long =
     sys.env.get(name).map(_.toLong).getOrElse(default)
 
-  val adultRows: Long  = env("REPRO_BENCH_ADULT", 1600000L)
-  val amazonRows: Long = env("REPRO_BENCH_AMAZON", 24000000L)
+  val adultRows: Long  = env("REPRO_BENCH_ADULT", Tables.AdultRows)
+  val amazonRows: Long = env("REPRO_BENCH_AMAZON", Tables.AmazonRows)
   val attackRows: Long = env("REPRO_BENCH_ATTACK", 40000L)
   val m: Int           = env("REPRO_BENCH_M", 8L).toInt
 
-  lazy val adult: FederationSetup =
-    Tables.setupAdult(SparkSpec.shared, adultRows, Storage.Parquet())
+  lazy val adult: Tables.Context =
+    new Tables.Context(Tables.setupAdult(SparkSpec.shared, adultRows, Storage.Parquet()))
 
-  lazy val amazon: FederationSetup =
-    Tables.setupAmazon(SparkSpec.shared, amazonRows, Storage.Parquet())
+  lazy val amazon: Tables.Context =
+    new Tables.Context(Tables.setupAmazon(SparkSpec.shared, amazonRows, Storage.Parquet()))
 
   /** Warm the JVM/Spark paths once so the first measured query is not a
     * cold-start outlier.
@@ -33,7 +33,7 @@ object BenchFixtures {
   lazy val warmed: Unit = {
     import repro.core.{Agg, DimRange, RangeQuery}
     val q = RangeQuery(Agg.Count, Seq(DimRange("age", 20, 60)))
-    adult.federation.run(q, 0.2, 1.0, useSmc = false, seed = 0)
+    adult.setup.federation.run(q, 0.2, 1.0, useSmc = false, seed = 0)
     ()
   }
 }

@@ -10,11 +10,10 @@ import repro.harness.Tables
 class F1RowSharingBench extends SparkSpec {
 
   private lazy val rows =
-    Tables.rowSharingSimulation(spark, sizes = Seq(25000L, 50000L, 100000L, 200000L))
+    Tables.rowSharingSimulation(spark, Tables.rowSharingSizes(200000L))
 
   test("print Figure 1 table") {
-    println("== Figure 1: SMC row sharing vs result sharing (paper: result sharing constant, >>100x cheaper) ==")
-    println(Tables.fmt(rows, Seq("rows", "rowSharingMs", "resultSharingMs", "ratio")))
+    println(Tables.report(Tables.F1, rows, withPaper = true))
   }
 
   test("shape: row sharing is orders of magnitude more expensive") {

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 import repro.harness.Tables
 
 /** Figure 4 (+ Figure 7 dimension axis): relative error and speed-up vs the
@@ -13,19 +12,15 @@ class F4DimensionBench extends SparkSpec {
 
   private lazy val rows = {
     BenchFixtures.warmed
-    Tables.dimensionAnalysis(BenchFixtures.adult, "Adult", Datasets.adultDims,
-      2 to 6, BenchFixtures.m, sr = 0.20) ++
-      Tables.dimensionAnalysis(BenchFixtures.amazon, "Amazon", Datasets.amazonDims,
-        2 to 5, BenchFixtures.m, sr = 0.05)
+    Tables.F4.rows(BenchFixtures.adult, BenchFixtures.amazon, BenchFixtures.m)
   }
 
   test("print Figure 4/7 table") {
-    println("== Figure 4/7: dimension-based analysis (paper: err<=17% Adult, <=5% Amazon; speedup 6-8x Amazon, falling with n) ==")
-    println(Tables.fmt(rows, Seq("dataset", "n", "agg", "avgRelErr", "avgSpeedup")))
+    println(Tables.F4.report(rows, withPaper = true))
   }
 
   test("shape: low-dimensional queries are near-exact") {
-    val lowDim = rows.filter(_.n == 2)
+    val lowDim = rows.filter(_.x == 2)
     assert(lowDim.forall(_.avgRelErr < 0.10),
       s"n=2 errors should be close to 0: ${lowDim.map(r => (r.dataset, r.agg, r.avgRelErr))}")
   }
@@ -38,11 +33,11 @@ class F4DimensionBench extends SparkSpec {
   }
 
   test("shape: error grows with the number of dimensions on average") {
-    def meanErr(f: Tables.DimRow => Boolean) = {
+    def meanErr(f: Tables.SweepRow => Boolean) = {
       val sel = rows.filter(f); sel.map(_.avgRelErr).sum / sel.size
     }
-    val lo = meanErr(r => r.n <= 3)
-    val hi = meanErr(r => r.n >= 4)
+    val lo = meanErr(r => r.x <= 3)
+    val hi = meanErr(r => r.x >= 4)
     assert(hi > lo, s"mean err n<=3: $lo vs n>=4: $hi")
   }
 

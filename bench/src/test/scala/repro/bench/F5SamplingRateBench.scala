@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 import repro.harness.Tables
 
 /** Figure 5: relative error and speed-up vs sampling rate (n = 4, ε = 1).
@@ -10,24 +9,18 @@ import repro.harness.Tables
   */
 class F5SamplingRateBench extends SparkSpec {
 
-  private val srs = Seq(5, 10, 15, 20)
-
   private lazy val rows = {
     BenchFixtures.warmed
-    Tables.samplingRateAnalysis(BenchFixtures.adult, "Adult", Datasets.adultDims,
-      srs, BenchFixtures.m) ++
-      Tables.samplingRateAnalysis(BenchFixtures.amazon, "Amazon", Datasets.amazonDims,
-        srs, BenchFixtures.m)
+    Tables.F5.rows(BenchFixtures.adult, BenchFixtures.amazon, BenchFixtures.m)
   }
 
   test("print Figure 5 table") {
-    println("== Figure 5: sampling-rate-based analysis (paper: err falls with sr, speedup falls with sr, up to ~7x Amazon) ==")
-    println(Tables.fmt(rows, Seq("dataset", "sr%", "agg", "avgRelErr", "avgSpeedup")))
+    println(Tables.F5.report(rows, withPaper = true))
   }
 
   test("shape: higher sampling rates reduce the error on average") {
     def meanErr(pct: Int) = {
-      val sel = rows.filter(_.srPct == pct); sel.map(_.avgRelErr).sum / sel.size
+      val sel = rows.filter(_.x == pct); sel.map(_.avgRelErr).sum / sel.size
     }
     assert(meanErr(20) < meanErr(5), s"err@20%=${meanErr(20)} vs err@5%=${meanErr(5)}")
   }
@@ -38,13 +31,13 @@ class F5SamplingRateBench extends SparkSpec {
     // assert non-inversion within a noise tolerance rather than strict
     // monotonicity (the printed table carries the measured values)
     def meanSp(pct: Int) = {
-      val sel = rows.filter(_.srPct == pct); sel.map(_.avgSpeedup).sum / sel.size
+      val sel = rows.filter(_.x == pct); sel.map(_.avgSpeedup).sum / sel.size
     }
     assert(meanSp(5) > 0.8 * meanSp(20), s"sp@5%=${meanSp(5)} vs sp@20%=${meanSp(20)}")
   }
 
   test("shape: approximation beats the plain scan at the lowest rate") {
-    val lowest = rows.filter(_.srPct == 5)
+    val lowest = rows.filter(_.x == 5)
     val mean = lowest.map(_.avgSpeedup).sum / lowest.size
     assert(mean > 1.0, s"mean speed-up at 5%: $mean")
   }

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 import repro.harness.Tables
 
 /** Figure 6 (+ Figure 7 ε axis): relative error and speed-up vs the privacy
@@ -11,31 +10,25 @@ import repro.harness.Tables
   */
 class F6EpsilonBench extends SparkSpec {
 
-  private val epss = Seq(0.1, 0.4, 0.7, 1.0, 1.3)
-
   private lazy val rows = {
     BenchFixtures.warmed
-    Tables.epsilonAnalysis(BenchFixtures.adult, "Adult", Datasets.adultDims,
-      epss, BenchFixtures.m, sr = 0.10) ++
-      Tables.epsilonAnalysis(BenchFixtures.amazon, "Amazon", Datasets.amazonDims,
-        epss, BenchFixtures.m, sr = 0.05)
+    Tables.F6.rows(BenchFixtures.adult, BenchFixtures.amazon, BenchFixtures.m)
   }
 
   test("print Figure 6/7 table") {
-    println("== Figure 6/7: privacy-budget-based analysis (paper: err falls with eps; speedup flat in eps) ==")
-    println(Tables.fmt(rows, Seq("dataset", "eps", "agg", "avgRelErr", "avgSpeedup")))
+    println(Tables.F6.report(rows, withPaper = true))
   }
 
   test("shape: error falls as epsilon grows") {
     def meanErr(eps: Double) = {
-      val sel = rows.filter(_.eps == eps); sel.map(_.avgRelErr).sum / sel.size
+      val sel = rows.filter(_.x == eps); sel.map(_.avgRelErr).sum / sel.size
     }
     assert(meanErr(1.3) < meanErr(0.1), s"err@1.3=${meanErr(1.3)} vs err@0.1=${meanErr(0.1)}")
   }
 
   test("shape: the large dataset is less affected by noise") {
     def meanErr(ds: String) = {
-      val sel = rows.filter(r => r.dataset == ds && r.eps <= 0.4)
+      val sel = rows.filter(r => r.dataset == ds && r.x <= 0.4)
       sel.map(_.avgRelErr).sum / sel.size
     }
     assert(meanErr("Amazon") < meanErr("Adult"),
@@ -44,9 +37,9 @@ class F6EpsilonBench extends SparkSpec {
 
   test("shape: epsilon has no systematic effect on speed-up") {
     def meanSp(eps: Double) = {
-      val sel = rows.filter(_.eps == eps); sel.map(_.avgSpeedup).sum / sel.size
+      val sel = rows.filter(_.x == eps); sel.map(_.avgSpeedup).sum / sel.size
     }
-    val sps = epss.map(meanSp)
+    val sps = Tables.F6.adult.xs.map(meanSp)
     // flat within noise: max/min ratio bounded (paper shows flat lines)
     assert(sps.max / sps.min < 2.0, s"speed-ups across eps: $sps")
   }

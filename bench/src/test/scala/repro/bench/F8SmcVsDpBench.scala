@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.Datasets
 import repro.harness.Tables
 
 /** Figure 8: SMC-released (single noise draw, max sensitivity) vs local
@@ -12,13 +11,11 @@ class F8SmcVsDpBench extends SparkSpec {
 
   private lazy val rows = {
     BenchFixtures.warmed
-    Tables.smcVsDp(BenchFixtures.adult, Datasets.adultDims, iters = 5, nQueries = 5)
+    Tables.smcVsDp(BenchFixtures.adult)
   }
 
   test("print Figure 8 table") {
-    println("== Figure 8: SMC effect on speed-up and accuracy (paper: SMC ~ no overhead, tighter noise) ==")
-    println(Tables.fmt(rows,
-      Seq("query", "mode", "|noise|min", "|noise|max", "avgRelErr", "avgSpeedup")))
+    println(Tables.report(Tables.F8, rows, withPaper = true))
   }
 
   test("shape: SMC release does not cost meaningful speed-up") {

@@ -13,15 +13,13 @@ import repro.harness.Tables
 class T1AttackBench extends SparkSpec {
 
   private lazy val (rows, control, majority) =
-    Tables.attackAnalysis(spark, BenchFixtures.attackRows, xis = Seq(1.0, 20.0, 50.0, 100.0))
+    Tables.attackAnalysis(spark, BenchFixtures.attackRows)
 
   private def dpRegime = rows.filter(r => r.composition != "Coalition")
 
   test("print Table 1") {
-    println("== Table 1: inference accuracy based on xi (paper: <1% in every cell) ==")
-    println(f"no-privacy control (exact answers): accuracy = ${control * 100}%.2f%%; " +
-      f"majority-class baseline (zero queries): ${majority * 100}%.2f%%")
-    println(Tables.fmt(rows, Seq("composition", "agg", "xi", "accuracy", "perQueryEps")))
+    println(Tables.report(Tables.T1, rows, withPaper = true,
+      Tables.attackBaselines(control, majority)))
   }
 
   test("the attack works without protection (control beats the majority baseline)") {

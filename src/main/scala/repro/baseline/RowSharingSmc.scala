@@ -106,14 +106,4 @@ object RowSharingSmc {
     val answer = SecretSharing.secureSum(locals, rng)
     (answer, (System.nanoTime() - t0) / 1e6)
   }
-
-  /** The SMC *sharing-only* cost of result sharing — what Figure 1 isolates:
-    * local evaluation excluded, only the secure exchange of one scalar per
-    * party. Returns ms.
-    */
-  def resultSharingOnlyMs(locals: Seq[Double], rng: Random): Double = {
-    val t0 = System.nanoTime()
-    SecretSharing.secureSum(locals, rng)
-    (System.nanoTime() - t0) / 1e6
-  }
 }

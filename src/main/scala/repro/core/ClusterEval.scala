@@ -24,9 +24,6 @@ trait ClusterEval {
 
   /** Exact plain-text answer over the full federation. */
   def exactTotal(q: RangeQuery): Double
-
-  /** Exact plain-text answer over one provider's partition. */
-  def exactLocal(providerId: Int, q: RangeQuery): Double
 }
 
 /** DataFrame-backed evaluation. `df` must carry `provider_id`, `cluster_id`,
@@ -59,10 +56,6 @@ final class SparkClusterEval(val df: DataFrame) extends ClusterEval {
 
   override def exactTotal(q: RangeQuery): Double =
     df.filter(q.predicate).agg(q.aggregate().as("answer")).head.getDouble(0)
-
-  override def exactLocal(providerId: Int, q: RangeQuery): Double =
-    df.filter(col(ProviderCol) === providerId && q.predicate)
-      .agg(q.aggregate().as("answer")).head.getDouble(0)
 }
 
 /** Driver-side replay of the same semantics over collected rows.
@@ -127,16 +120,6 @@ final class InMemoryClusterEval private (
     var s = 0.0; var i = 0
     while (i < providers.length) {
       if (pred.matches(i)) s += pred.contribution(i)
-      i += 1
-    }
-    s
-  }
-
-  override def exactLocal(providerId: Int, q: RangeQuery): Double = {
-    val pred = new Pred(q)
-    var s = 0.0; var i = 0
-    while (i < providers.length) {
-      if (providers(i) == providerId && pred.matches(i)) s += pred.contribution(i)
       i += 1
     }
     s

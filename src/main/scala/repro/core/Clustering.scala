@@ -20,7 +20,7 @@ import org.apache.spark.sql.functions._
   * scenario-4 sensitivity `1/p`; see DESIGN.md §4.)
   */
 object Clustering {
-  /** Name of the cluster-id column added by [[assign]]. */
+  /** Name of the cluster-id column added by [[assignPerProvider]]. */
   val ClusterCol: String = "cluster_id"
 
   /** Name of the provider-id column used by federated stores. */
@@ -29,25 +29,11 @@ object Clustering {
   private def pageOrder(dims: Seq[String]) =
     Seq(col(dims.head), xxhash64((dims.map(col) :+ col(Tensor.MeasureCol)): _*))
 
-  /** Add a `cluster_id` column: sort by the leading dimension (hash ties)
-    * and chunk into groups of at most `S` rows. Deterministic for a given
-    * input.
-    *
-    * The global `row_number` window funnels the tensor through a single
-    * partition; tensors here are at most a few million rows, which is fine.
-    */
-  def assign(tensor: DataFrame, dims: Seq[String], S: Int): DataFrame = {
-    require(S >= 1, s"cluster size must be positive, got $S")
-    val order = Window.orderBy(pageOrder(dims): _*)
-    tensor
-      .withColumn("_rid", row_number().over(order) - 1)
-      .withColumn(ClusterCol, (col("_rid") / S).cast("int"))
-      .drop("_rid")
-  }
-
-  /** Same as [[assign]] but per provider: each provider sorts and chunks its
-    * own horizontal partition independently (cluster ids restart at 0 within
-    * each provider, as each provider owns its local storage).
+  /** Add a `cluster_id` column per provider: each provider sorts its own
+    * horizontal partition by the leading dimension (hash ties) and chunks it
+    * into groups of at most `S` rows, so cluster ids restart at 0 within each
+    * provider, as each provider owns its local storage. Deterministic for a
+    * given input.
     */
   def assignPerProvider(tensor: DataFrame, dims: Seq[String], S: Int): DataFrame = {
     require(S >= 1, s"cluster size must be positive, got $S")
@@ -59,8 +45,4 @@ object Clustering {
       .withColumn(ClusterCol, (col("_rid") / S).cast("int"))
       .drop("_rid")
   }
-
-  /** Number of clusters a tensor of `nRows` rows occupies at size `S`. */
-  def nClusters(nRows: Long, S: Int): Int =
-    math.ceil(nRows.toDouble / S).toInt
 }

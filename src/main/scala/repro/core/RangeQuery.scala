@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
 
 /** Aggregation kind of a range query (paper §3: COUNT(*) or SUM(Measure)).
@@ -39,10 +39,6 @@ final case class RangeQuery(agg: Agg, ranges: Seq[DimRange]) {
     case Agg.Count      => count(lit(1)).cast("double")
     case Agg.SumMeasure => coalesce(sum(col(measure)).cast("double"), lit(0.0))
   }
-
-  /** Exact evaluation on a tensor DataFrame — the plain-text answer. */
-  def evaluate(tensor: DataFrame): Double =
-    tensor.filter(predicate).agg(aggregate().as("answer")).head.getDouble(0)
 
   /** SQL text for the DuckDB oracle. The oracle stores every column as
     * VARCHAR, so each compared/ summed column is cast explicitly.

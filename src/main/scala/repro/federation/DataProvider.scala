@@ -17,13 +17,13 @@ final case class LocalAnswer(providerId: Int, estimate: Double, sensNumerator: D
 
 /** A data provider in the federation (paper §5.3).
   *
-  * Holds its offline metadata ([[repro.core.ProviderMetadata]], Algorithm 1)
-  * and a handle to the physical evaluation of its clusters. All privacy
+  * Holds its offline metadata ([[repro.core.ProviderMetadata]], Algorithm 1);
+  * the scan of its sampled clusters is batched by [[Federation.run]]. All privacy
   * decisions — what leaves this object — go through DP mechanisms:
   * Laplace-perturbed summaries (Eq 5), EM cluster sampling (Algorithm 2),
   * and smooth-sensitivity-calibrated release (Algorithm 3).
   */
-final class DataProvider(val meta: ProviderMetadata, eval: ClusterEval, val nMin: Int,
+final class DataProvider(val meta: ProviderMetadata, val nMin: Int,
                          val rFloorFrac: Double = 0.02) {
   require(nMin >= 1, "N^min must be at least 1")
   require(rFloorFrac >= 0 && rFloorFrac < 1)
@@ -113,21 +113,6 @@ final class DataProvider(val meta: ProviderMetadata, eval: ClusterEval, val nMin
 
     LocalAnswer(providerId, estimate, sensNumerator = 2.0 * deltaE,
       scannedClusters = p.clusterIds.size, coveringClusters = p.nQ, exactPath = false)
-  }
-
-  /** Convenience single-provider answer (plan → scan → finish) used by unit
-    * tests; [[Federation.run]] instead batches every provider's scan into
-    * one evaluation call, the single-machine analog of providers scanning
-    * in parallel.
-    */
-  def answer(q: RangeQuery, s: Int, epsS: Double, epsE: Double, delta: Double,
-             rng: Random): LocalAnswer = {
-    val p = plan(q, s, epsS, rng)
-    val qc =
-      if (p.clusterIds.isEmpty) Map.empty[Int, Double]
-      else eval.perCluster(Map(providerId -> p.clusterIds), q)
-        .map { case ((_, c), v) => c -> v }
-    finish(q, p, qc, epsE, delta)
   }
 }
 

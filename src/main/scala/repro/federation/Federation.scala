@@ -15,6 +15,7 @@ final case class FedConfig(hp1: Double = 0.1, hp2: Double = 0.1, hp3: Double = 0
                            delta: Double = 1e-3, nMin: Int = 8,
                            rFloorFrac: Double = 0.02) {
   require(math.abs(hp1 + hp2 + hp3 - 1.0) < 1e-9, "hp1+hp2+hp3 must be 1")
+  require(delta > 0 && delta < 1, s"delta must be in (0,1), got $delta")
   require(rFloorFrac >= 0 && rFloorFrac < 1, "rFloorFrac must be in [0,1)")
 }
 
@@ -39,6 +40,8 @@ final case class RunResult(answer: Double, exact: Double, relativeError: Double,
 final class Federation(val providers: Seq[DataProvider], eval: ClusterEval, val cfg: FedConfig) {
   require(providers.nonEmpty)
 
+  private val dims: Set[String] = providers.iterator.flatMap(_.meta.dimNames).toSet
+
   /** Plain-text exact answer over the whole federation, timed. */
   def exactWithTime(q: RangeQuery): (Double, Double) = {
     val t0 = System.nanoTime()
@@ -48,11 +51,20 @@ final class Federation(val providers: Seq[DataProvider], eval: ClusterEval, val 
 
   /** One online query at sampling rate `sr` and total budget `eps`.
     *
+    * Inputs are checked before any random number is drawn: `eps` must be
+    * positive (∞ runs the protocol without noise), `sr` in (0,1), and every
+    * query dimension one of the federation's.
+    *
     * @param exactBaseline optionally a precomputed `(answer, ms)` so ε
     *                      sweeps over the same query reuse one exact scan.
     */
   def run(q: RangeQuery, sr: Double, eps: Double, useSmc: Boolean, seed: Long,
           exactBaseline: Option[(Double, Double)] = None): RunResult = {
+    require(eps > 0, s"privacy budget eps must be positive, got $eps")
+    require(sr > 0 && sr < 1, s"sampling rate must be in (0,1), got $sr")
+    require(q.ranges.forall(r => dims(r.dim)),
+      s"unknown query dimension ${q.ranges.map(_.dim).filterNot(dims).mkString(", ")}; " +
+        s"the federation has ${dims.toSeq.sorted.mkString(", ")}")
     val rng = new Random(seed)
     val lap = new Laplace(rng)
     val epsO = cfg.hp1 * eps

@@ -32,7 +32,7 @@ final case class FederationSetup(federation: Federation, eval: ClusterEval,
     */
   def inMemory(cfg: FedConfig): Federation = {
     val mem = InMemoryClusterEval.fromDataFrame(clustered, dims)
-    new Federation(metas.map(new DataProvider(_, mem, cfg.nMin, cfg.rFloorFrac)), mem, cfg)
+    new Federation(metas.map(new DataProvider(_, cfg.nMin, cfg.rFloorFrac)), mem, cfg)
   }
 }
 
@@ -76,9 +76,7 @@ object Setup {
       }
 
     // 2. per-provider count tensor, built in one pass
-    val tensor = withProvider
-      .groupBy((col(Clustering.ProviderCol) +: dims.map(col)): _*)
-      .agg(count(lit(1)).cast("long").as(Tensor.MeasureCol))
+    val tensor = Tensor.fromRows(withProvider, Clustering.ProviderCol +: dims)
 
     // 3. common cluster size S from the average provider tensor size
     val counts = tensor.groupBy(col(Clustering.ProviderCol)).agg(count(lit(1)).as("n"))
@@ -111,7 +109,7 @@ object Setup {
     }
 
     val eval = new SparkClusterEval(clustered)
-    val providers = metas.map(new DataProvider(_, eval, cfg.nMin, cfg.rFloorFrac))
+    val providers = metas.map(new DataProvider(_, cfg.nMin, cfg.rFloorFrac))
     FederationSetup(new Federation(providers, eval, cfg), eval, clustered, dims, S, metas)
   }
 }

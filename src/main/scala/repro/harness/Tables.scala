@@ -1,5 +1,6 @@
 package repro.harness
 
+import scala.collection.mutable
 import scala.util.Random
 
 import org.apache.spark.sql.SparkSession
@@ -32,6 +33,12 @@ object Tables {
   /** Error repetitions per (query, configuration) on the in-memory replay. */
   val ErrReps = 5
 
+  /** Default raw-row scale of the Adult-like and Amazon-like federations
+    * that the bench suites and `jobs/` build (DESIGN.md §4/§5).
+    */
+  val AdultRows: Long  = 1600000L
+  val AmazonRows: Long = 24000000L
+
   /** Adult-like federation: S = 1% of the provider-local tensor. */
   def setupAdult(spark: SparkSession, rows: Long, storage: Storage,
                  cfg: FedConfig = DefaultCfg): FederationSetup =
@@ -44,19 +51,22 @@ object Tables {
     Setup.build(spark, Datasets.amazonRaw(spark, rows), Datasets.amazonDims.map(_.name),
       NProviders, clusterFrac = 0.005, cfg, storage, seed = 43L, skewProviders = true)
 
+  /** One federation and what the harnesses derive from it: the in-memory
+    * replay of its clustered tensor, built on first use, and the exact
+    * answers of the queries replayed on it. Both live as long as the
+    * context, so dropping the context frees them.
+    */
+  final class Context(val setup: FederationSetup) {
+    lazy val mem: Federation = setup.inMemory(setup.federation.cfg)
+
+    private val exacts = mutable.Map.empty[RangeQuery, Double]
+    def memExact(q: RangeQuery): Double = exacts.getOrElseUpdate(q, mem.exactWithTime(q)._1)
+  }
+
   private def aggName(a: Agg): String = a match {
     case Agg.Count      => "COUNT"
     case Agg.SumMeasure => "SUM"
   }
-
-  // one in-memory replay federation per setup, built lazily and shared
-  private val memFeds = scala.collection.concurrent.TrieMap.empty[AnyRef, Federation]
-  private def memFed(setup: FederationSetup): Federation =
-    memFeds.getOrElseUpdate(setup, setup.inMemory(setup.federation.cfg))
-
-  private val memExacts = scala.collection.concurrent.TrieMap.empty[(AnyRef, RangeQuery), Double]
-  private def memExact(setup: FederationSetup, q: RangeQuery): Double =
-    memExacts.getOrElseUpdate((setup, q), memFed(setup).exactWithTime(q)._1)
 
   /** Exact scan timed twice; the first run warms caches and codegen, the
     * second is the reported baseline.
@@ -76,9 +86,8 @@ object Tables {
     * drift under GC/page-cache churn), after two unmeasured warm-up runs of
     * each code path.
     */
-  private def timeWorkload(setup: FederationSetup, qs: Seq[RangeQuery], sr: Double,
+  private def timeWorkload(fed: Federation, qs: Seq[RangeQuery], sr: Double,
                            eps: Double, seed: Long): Double = {
-    val fed = setup.federation
     qs.take(2).foreach { q =>
       fed.run(q, sr, eps, useSmc = false, seed = seed - 7, exactBaseline = Some((0.0, 0.0)))
       fed.exactWithTime(q)
@@ -92,96 +101,124 @@ object Tables {
     * per query (identical math to the Spark runs; noise variance averaged
     * out without a Spark job per repetition).
     */
-  private def errWorkload(setup: FederationSetup, qs: Seq[RangeQuery], sr: Double,
+  private def errWorkload(ctx: Context, qs: Seq[RangeQuery], sr: Double,
                           eps: Double, seed: Long): Double = {
-    val mem = memFed(setup)
     val errs = for ((q, i) <- qs.zipWithIndex; r <- 0 until ErrReps) yield {
-      mem.run(q, sr, eps, useSmc = false, seed = seed * 1000 + i * 31 + r,
-        exactBaseline = Some((memExact(setup, q), 0.0))).relativeError
+      ctx.mem.run(q, sr, eps, useSmc = false, seed = seed * 1000 + i * 31 + r,
+        exactBaseline = Some((ctx.memExact(q), 0.0))).relativeError
     }
     errs.sum / errs.size
   }
 
-
-
   // ----------------------------------------------------------------------
-  // Figure 4 + Figure 7 (dimension axis)
+  // Printed form of a table/figure
   // ----------------------------------------------------------------------
 
-  final case class DimRow(dataset: String, n: Int, agg: String,
-                          avgRelErr: Double, avgSpeedup: Double)
-
-  /** Dimension-based analysis (§6.2): error and speed-up vs `n` query dims.
-    * Paper: sr = 20% Adult / 5% Amazon, ε = 1.
+  /** A paper table/figure as printed: the banner title, what the paper
+    * reports, and the column header.
     */
-  def dimensionAnalysis(setup: FederationSetup, dataset: String, dims: Seq[DimSpec],
-                        nRange: Seq[Int], m: Int, sr: Double, eps: Double = 1.0,
-                        seed: Long = 7L): Seq[DimRow] = {
-    val fed = setup.federation
-    memFed(setup) // hoist the big in-memory collect out of the timed region
-    val combos = for {
-      n <- nRange
-      agg <- Seq(Agg.Count, Agg.SumMeasure)
-    } yield (n, agg, Datasets.qualifyingWorkload(fed, dims, m, n, agg, seed + n))
-    // timing pass for every combo first, error passes after — the in-memory
+  final case class Figure(title: String, paper: String, header: Seq[String]) {
+    /** The `== title ==` banner; the bench suites add what the paper reports. */
+    def banner(withPaper: Boolean): String =
+      if (withPaper) s"== $title ($paper) ==" else s"== $title =="
+  }
+
+  /** `fig`'s banner, any context lines, then `rows` as a table. */
+  def report(fig: Figure, rows: Seq[Product], withPaper: Boolean, context: String*): String =
+    ((fig.banner(withPaper) +: context) :+ fmt(rows, fig.header)).mkString("\n")
+
+  // ----------------------------------------------------------------------
+  // Figures 4–7: error and speed-up along one axis (n, sr or ε)
+  // ----------------------------------------------------------------------
+
+  /** The parameter a sweep varies, and the column that reports its value. */
+  sealed abstract class Axis(val column: String) {
+    /** `x` as its column prints it: a whole number, ε to four decimals. */
+    def show(x: Double): String = x.toLong.toString
+  }
+  object Axis {
+    /** Number of query dimensions `n`. */
+    case object N extends Axis("n")
+    /** Sampling rate, in percent. */
+    case object Sr extends Axis("sr%")
+    /** Total privacy budget ε. */
+    case object Eps extends Axis("eps") {
+      override def show(x: Double): String = f"$x%.4f"
+    }
+  }
+
+  /** One dataset's line of a sweep: its axis values and the sampling rate
+    * held fixed (unset on the sr axis, which sets its own).
+    */
+  final case class Series(dataset: String, dims: Seq[DimSpec], xs: Seq[Double],
+                          sr: Double = Double.NaN)
+
+  /** One row of a sweep: axis value `x` in the axis's unit. */
+  final case class SweepRow(dataset: String, x: Double, agg: String,
+                            avgRelErr: Double, avgSpeedup: Double)
+
+  /** A sweep figure of the paper: its Adult and Amazon series along `axis`. */
+  final case class Sweep(title: String, paper: String, axis: Axis, seed: Long,
+                         adult: Series, amazon: Series) {
+    def rows(adultCtx: Context, amazonCtx: Context, m: Int): Seq[SweepRow] =
+      sweep(adultCtx, adult, axis, m, seed) ++ sweep(amazonCtx, amazon, axis, m, seed)
+
+    /** Banner and table of `rows`, the axis value in the axis's format. */
+    def report(rows: Seq[SweepRow], withPaper: Boolean): String =
+      Tables.report(
+        Figure(title, paper, Seq("dataset", axis.column, "agg", "avgRelErr", "avgSpeedup")),
+        rows.map(r => (r.dataset, axis.show(r.x), r.agg, r.avgRelErr, r.avgSpeedup)), withPaper)
+  }
+
+  private val Epss = Seq(0.1, 0.4, 0.7, 1.0, 1.3)
+  private val SrsPct = Seq(5.0, 10.0, 15.0, 20.0)
+
+  /** Figure 4 + Figure 7 dimension axis (§6.2): sr = 20% Adult / 5% Amazon, ε = 1. */
+  val F4: Sweep = Sweep("Figure 4/7: dimension-based analysis",
+    "paper: err<=17% Adult, <=5% Amazon; speedup 6-8x Amazon, falling with n", Axis.N, 7L,
+    Series("Adult", Datasets.adultDims, (2 to 6).map(_.toDouble), sr = 0.20),
+    Series("Amazon", Datasets.amazonDims, (2 to 5).map(_.toDouble), sr = 0.05))
+
+  /** Figure 5 (§6.3): n = 4, sr ∈ {5,10,15,20}%, ε = 1. */
+  val F5: Sweep = Sweep("Figure 5: sampling-rate-based analysis",
+    "paper: err falls with sr, speedup falls with sr, up to ~7x Amazon", Axis.Sr, 17L,
+    Series("Adult", Datasets.adultDims, SrsPct),
+    Series("Amazon", Datasets.amazonDims, SrsPct))
+
+  /** Figure 6 + Figure 7 ε axis (§6.4): n = 4, ε ∈ [0.1, 1.3], sr = 10% Adult / 5% Amazon. */
+  val F6: Sweep = Sweep("Figure 6/7: privacy-budget-based analysis",
+    "paper: err falls with eps; speedup flat in eps", Axis.Eps, 29L,
+    Series("Adult", Datasets.adultDims, Epss, sr = 0.10),
+    Series("Amazon", Datasets.amazonDims, Epss, sr = 0.05))
+
+  /** Relative error and speed-up of `series` along `axis`: for each axis
+    * value and both aggregations, `m` qualifying queries, timed on Spark
+    * and error-averaged on the in-memory replay. Off the axis, n = 4,
+    * ε = 1 and sr = `series.sr`.
+    */
+  def sweep(ctx: Context, series: Series, axis: Axis, m: Int, seed: Long): Seq[SweepRow] = {
+    final case class Point(x: Double, agg: Agg, sr: Double, eps: Double, runSeed: Long,
+                           qs: Seq[RangeQuery])
+    val fed = ctx.setup.federation
+    ctx.mem // hoist the big in-memory collect out of the timed region
+    val points = for (x <- series.xs; agg <- Seq(Agg.Count, Agg.SumMeasure)) yield {
+      val (n, sr, eps, key) = axis match {
+        case Axis.N   => (x.toInt, series.sr, 1.0, x.toLong)
+        case Axis.Sr  => (4, x / 100, 1.0, math.round(x))
+        case Axis.Eps => (4, series.sr, x, math.round(x * 10))
+      }
+      // the n axis draws one workload per n, the others one per aggregation
+      val workloadSeed = if (axis == Axis.N) seed + n else seed + (if (agg == Agg.Count) 0 else 1)
+      Point(x, agg, sr, eps, seed * 100 + key,
+        Datasets.qualifyingWorkload(fed, series.dims, m, n, agg, workloadSeed))
+    }
+    // timing pass for every point first, error passes after — the in-memory
     // error replay churns hundreds of MB and would pollute later timings
-    val sps = combos.map { case (n, _, qs) =>
-      timeWorkload(setup, qs, sr, eps, seed * 100 + n)
+    val sps = points.map(p => timeWorkload(fed, p.qs, p.sr, p.eps, p.runSeed))
+    points.zip(sps).map { case (p, sp) =>
+      SweepRow(series.dataset, p.x, aggName(p.agg),
+        errWorkload(ctx, p.qs, p.sr, p.eps, p.runSeed), sp)
     }
-    combos.zip(sps).map { case ((n, agg, qs), sp) =>
-      DimRow(dataset, n, aggName(agg), errWorkload(setup, qs, sr, eps, seed * 100 + n), sp)
-    }
-  }
-
-  // ----------------------------------------------------------------------
-  // Figure 5 (sampling-rate axis)
-  // ----------------------------------------------------------------------
-
-  final case class SrRow(dataset: String, srPct: Int, agg: String,
-                         avgRelErr: Double, avgSpeedup: Double)
-
-  /** Sampling-rate analysis (§6.3): n = 4, sr ∈ {5,10,15,20}%, ε = 1. */
-  def samplingRateAnalysis(setup: FederationSetup, dataset: String, dims: Seq[DimSpec],
-                           srsPct: Seq[Int], m: Int, n: Int = 4, eps: Double = 1.0,
-                           seed: Long = 17L): Seq[SrRow] = {
-    val fed = setup.federation
-    memFed(setup)
-    (for (agg <- Seq(Agg.Count, Agg.SumMeasure)) yield {
-      val qs = Datasets.qualifyingWorkload(fed, dims, m, n, agg,
-        seed + (if (agg == Agg.Count) 0 else 1))
-      val sps = srsPct.map(pct => timeWorkload(setup, qs, pct / 100.0, eps, seed * 100 + pct))
-      srsPct.zip(sps).map { case (pct, sp) =>
-        SrRow(dataset, pct, aggName(agg),
-          errWorkload(setup, qs, pct / 100.0, eps, seed * 100 + pct), sp)
-      }
-    }).flatten
-  }
-
-  // ----------------------------------------------------------------------
-  // Figure 6 + Figure 7 (ε axis)
-  // ----------------------------------------------------------------------
-
-  final case class EpsRow(dataset: String, eps: Double, agg: String,
-                          avgRelErr: Double, avgSpeedup: Double)
-
-  /** Privacy-budget analysis (§6.4): n = 4, ε ∈ [0.1, 1.3];
-    * sr = 5% Amazon / 10% Adult.
-    */
-  def epsilonAnalysis(setup: FederationSetup, dataset: String, dims: Seq[DimSpec],
-                      epss: Seq[Double], m: Int, sr: Double, n: Int = 4,
-                      seed: Long = 29L): Seq[EpsRow] = {
-    val fed = setup.federation
-    memFed(setup)
-    (for (agg <- Seq(Agg.Count, Agg.SumMeasure)) yield {
-      val qs = Datasets.qualifyingWorkload(fed, dims, m, n, agg,
-        seed + (if (agg == Agg.Count) 0 else 1))
-      val sps = epss.map(eps =>
-        timeWorkload(setup, qs, sr, eps, seed * 100 + math.round(eps * 10)))
-      epss.zip(sps).map { case (eps, sp) =>
-        EpsRow(dataset, eps, aggName(agg),
-          errWorkload(setup, qs, sr, eps, seed * 100 + math.round(eps * 10)), sp)
-      }
-    }).flatten
   }
 
   // ----------------------------------------------------------------------
@@ -191,16 +228,20 @@ object Tables {
   final case class SmcRow(queryId: Int, mode: String, noiseAbsMin: Double,
                           noiseAbsMax: Double, avgRelErr: Double, avgSpeedup: Double)
 
-  /** SMC vs DP release (§6.5): 5 two-dimensional COUNT queries on Adult,
-    * each repeated `iters` times with and without SMC; reports the realized
-    * |noise| range (in-memory repetitions), error, and speed-up (Spark).
+  val F8: Figure = Figure("Figure 8: SMC effect on speed-up and accuracy",
+    "paper: SMC ~ no overhead, tighter noise",
+    Seq("query", "mode", "|noise|min", "|noise|max", "avgRelErr", "avgSpeedup"))
+
+  /** SMC vs DP release (§6.5): 5 two-dimensional COUNT queries on the
+    * Adult-like federation `ctx`, each repeated `iters` times with and
+    * without SMC; reports the realized |noise| range (in-memory
+    * repetitions), error, and speed-up (Spark).
     */
-  def smcVsDp(setup: FederationSetup, dims: Seq[DimSpec], iters: Int = 5,
-              nQueries: Int = 5, sr: Double = 0.1, eps: Double = 1.0,
-              seed: Long = 37L): Seq[SmcRow] = {
-    val fed = setup.federation
-    val mem = memFed(setup)
-    val qs = Datasets.qualifyingWorkload(fed, dims, nQueries, 2, Agg.Count, seed)
+  def smcVsDp(ctx: Context, iters: Int = 5, nQueries: Int = 5, sr: Double = 0.1,
+              eps: Double = 1.0, seed: Long = 37L): Seq[SmcRow] = {
+    val fed = ctx.setup.federation
+    val mem = ctx.mem
+    val qs = Datasets.qualifyingWorkload(fed, Datasets.adultDims, nQueries, 2, Agg.Count, seed)
     (for ((q, qi) <- qs.zipWithIndex; smc <- Seq(false, true)) yield {
       val exact = exactTimed(fed, q)
       val sp = (0 until 2).map(it =>
@@ -221,6 +262,13 @@ object Tables {
 
   final case class RowShareRow(totalRows: Long, rowSharingMs: Double,
                                resultSharingMs: Double, ratio: Double)
+
+  val F1: Figure = Figure("Figure 1: SMC row sharing vs result sharing",
+    "paper: result sharing constant, >>100x cheaper",
+    Seq("rows", "rowSharingMs", "resultSharingMs", "ratio"))
+
+  /** The table sizes Figure 1 is drawn at: 1/8, 1/4, 1/2 and all of `maxRows`. */
+  def rowSharingSizes(maxRows: Long): Seq[Long] = Seq(8, 4, 2, 1).map(maxRows / _)
 
   /** SMC cost simulation (§2, Figure 1): share rows vs share results for
     * random 2-dim range queries over Adult-like data at growing sizes.
@@ -265,6 +313,14 @@ object Tables {
   final case class AttackRow(composition: String, agg: String, xi: Double,
                              accuracy: Double, perQueryEps: Double)
 
+  val T1: Figure = Figure("Table 1: inference accuracy based on xi",
+    "paper: <1% in every cell", Seq("composition", "agg", "xi", "accuracy", "perQueryEps"))
+
+  /** The context line printed above Table 1. */
+  def attackBaselines(control: Double, majority: Double): String =
+    f"no-privacy control (exact answers): accuracy = ${control * 100}%.2f%%; " +
+      f"majority-class baseline (zero queries): ${majority * 100}%.2f%%"
+
   /** Resilience to the NBC attack (§6.6, Table 1): train the classifier
     * through the private pipeline under each composition regime and measure
     * prediction accuracy; also returns a no-privacy control (`EXACT`) that
@@ -273,13 +329,14 @@ object Tables {
     * Runs on [[repro.core.InMemoryClusterEval]]: the attack issues
     * `nQueries` (≈3.9k) full protocol executions per cell, whose per-cluster
     * scans are replayed in memory (identical math — DESIGN.md §3).
-    */
-  /** @return (per-cell attack accuracies, no-privacy control accuracy,
+    *
+    * @return (per-cell attack accuracies, no-privacy control accuracy,
     *          majority-class baseline — what a constant predictor scores
     *          with zero queries; the information-free floor given the
     *          skewed SA marginal)
     */
-  def attackAnalysis(spark: SparkSession, rows: Long, xis: Seq[Double], psi: Double = 1e-6,
+  def attackAnalysis(spark: SparkSession, rows: Long,
+                     xis: Seq[Double] = Seq(1.0, 20.0, 50.0, 100.0), psi: Double = 1e-6,
                      sr: Double = 0.1, cfg: FedConfig = DefaultCfg,
                      seed: Long = 61L): (Seq[AttackRow], Double, Double) = {
     val dims = Datasets.attackQiDims :+ Datasets.attackSaDim
@@ -287,7 +344,7 @@ object Tables {
       dims.map(_.name), NProviders, clusterFrac = 0.01, cfg, Storage.Cached, seed = 44L)
     val mem = repro.core.InMemoryClusterEval.fromDataFrame(setup.clustered, setup.dims)
     def fedWith(c: FedConfig): Federation =
-      new Federation(setup.metas.map(new DataProvider(_, mem, c.nMin, c.rFloorFrac)), mem, c)
+      new Federation(setup.metas.map(new DataProvider(_, c.nMin, c.rFloorFrac)), mem, c)
 
     val attack = new NbcAttack(Datasets.attackSaDim, Datasets.attackQiDims)
 

@@ -25,7 +25,7 @@ class NaiveBayesSpec extends SparkSpec {
   }
   private lazy val mem = InMemoryClusterEval.fromDataFrame(setup.clustered, setup.dims)
   private lazy val fed = new Federation(
-    setup.metas.map(new DataProvider(_, mem, 6)), mem, FedConfig(nMin = 6))
+    setup.metas.map(new DataProvider(_, 6)), mem, FedConfig(nMin = 6))
 
   private lazy val truth: Seq[(Map[String, Int], Int, Long)] = setup.clustered
     .groupBy(setup.dims.map(col): _*)
@@ -76,7 +76,7 @@ class NaiveBayesSpec extends SparkSpec {
   test("attack through the private pipeline collapses toward random") {
     val b = repro.dp.Composition.sequentialPerQuery(1.0, 1e-6, smallAttack.nQueries)
     val fedQ = new Federation(
-      setup.metas.map(new DataProvider(_, mem, 6)), mem,
+      setup.metas.map(new DataProvider(_, 6)), mem,
       FedConfig(nMin = 6, delta = b.delta))
     var i = 0
     val model = smallAttack.train({ q =>

@@ -38,13 +38,6 @@ class ClusterEvalSpec extends SparkSpec {
     }
   }
 
-  test("exactLocal sums to exactTotal across providers") {
-    val ids = fed.metas.map(_.providerId)
-    val total = ids.map(sparkEval.exactLocal(_, q2)).sum
-    assert(total == sparkEval.exactTotal(q2))
-    assert(ids.map(memEval.exactLocal(_, q2)).sum == memEval.exactTotal(q2))
-  }
-
   test("perCluster agrees between Spark and in-memory evaluation") {
     val sampled = Map(0 -> Seq(0, 1, 2, 5), 1 -> Seq(0, 3))
     assert(sparkEval.perCluster(sampled, q2) == memEval.perCluster(sampled, q2))
@@ -81,10 +74,9 @@ class ClusterEvalSpec extends SparkSpec {
     assert(sparkEval.perCluster(Map(0 -> Seq.empty), q2).isEmpty)
   }
 
-  test("summing perCluster over all covering clusters reproduces exactLocal") {
-    val meta = fed.metas.head
-    val covering = meta.coveringClusters(q2).map(_.clusterId)
-    val total = memEval.perCluster(Map(meta.providerId -> covering), q2).values.sum
-    assert(total == memEval.exactLocal(meta.providerId, q2))
+  test("perCluster over all providers' covering clusters sums to exactTotal") {
+    val covering = fed.metas.map(m => m.providerId -> m.coveringClusters(q2).map(_.clusterId)).toMap
+    assert(memEval.perCluster(covering, q2).values.sum == memEval.exactTotal(q2))
+    assert(sparkEval.perCluster(covering, q2).values.sum == sparkEval.exactTotal(q2))
   }
 }

@@ -5,25 +5,30 @@ import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestFixtures}
 import repro.data.Datasets
 
-/** Cluster (page) assignment invariants. */
+/** Cluster (page) assignment invariants, on a one-provider tensor and on
+  * the federated fixture.
+  */
 class ClusteringSpec extends SparkSpec {
 
   private val dims = Datasets.adultDims.map(_.name)
   private lazy val tensor = {
-    val t = Tensor.fromRows(TestFixtures.adultRawSmall, dims).cache()
+    val t = Tensor.fromRows(TestFixtures.adultRawSmall, dims)
+      .withColumn(Clustering.ProviderCol, lit(0)).cache()
     t.count(); t
   }
 
+  private def assign(S: Int) = Clustering.assignPerProvider(tensor, dims, S)
+
   test("every cluster has at most S rows") {
     val S = 37
-    val sizes = Clustering.assign(tensor, dims, S)
+    val sizes = assign(S)
       .groupBy(Clustering.ClusterCol).count().collect().map(_.getLong(1))
     assert(sizes.forall(_ <= S))
   }
 
   test("only the last cluster may be smaller than S") {
     val S = 37
-    val byId = Clustering.assign(tensor, dims, S)
+    val byId = assign(S)
       .groupBy(Clustering.ClusterCol).count().collect()
       .map(r => r.getInt(0) -> r.getLong(1)).sortBy(_._1)
     val full = byId.init
@@ -32,19 +37,19 @@ class ClusteringSpec extends SparkSpec {
   }
 
   test("cluster ids are contiguous from zero") {
-    val ids = Clustering.assign(tensor, dims, 50)
+    val ids = assign(50)
       .select(Clustering.ClusterCol).distinct().collect().map(_.getInt(0)).sorted
     assert(ids.toSeq == (0 until ids.length))
   }
 
   test("no rows are lost or duplicated by assignment") {
-    val assigned = Clustering.assign(tensor, dims, 41)
+    val assigned = assign(41)
     assert(assigned.count() == tensor.count())
   }
 
   test("assignment is deterministic") {
-    val a = Clustering.assign(tensor, dims, 29).collect().map(_.toString).sorted
-    val b = Clustering.assign(tensor, dims, 29).collect().map(_.toString).sorted
+    val a = assign(29).collect().map(_.toString).sorted
+    val b = assign(29).collect().map(_.toString).sorted
     assert(a.sameElements(b))
   }
 
@@ -53,7 +58,7 @@ class ClusteringSpec extends SparkSpec {
     // must be far below the global span — that locality is what makes the
     // min/max metadata (Eq 2) selective.
     val S = 40
-    val assigned = Clustering.assign(tensor, dims, S)
+    val assigned = assign(S)
     val spans = assigned.groupBy(Clustering.ClusterCol)
       .agg((max(col(dims.head)) - min(col(dims.head))).as("span"))
       .collect().map(_.getInt(1))
@@ -77,14 +82,15 @@ class ClusteringSpec extends SparkSpec {
     assert(oversize == 0)
   }
 
-  test("nClusters arithmetic") {
-    assert(Clustering.nClusters(100, 10) == 10)
-    assert(Clustering.nClusters(101, 10) == 11)
-    assert(Clustering.nClusters(1, 10) == 1)
-    assert(Clustering.nClusters(0, 10) == 0)
+  test("a tensor of r rows occupies ceil(r / S) clusters") {
+    val rows = tensor.count()
+    for (S <- Seq(10, 37, rows.toInt, rows.toInt + 1)) {
+      val n = assign(S).select(Clustering.ClusterCol).distinct().count()
+      assert(n == math.ceil(rows.toDouble / S).toLong, s"S=$S")
+    }
   }
 
   test("non-positive cluster size is rejected") {
-    intercept[IllegalArgumentException](Clustering.assign(tensor, dims, 0))
+    intercept[IllegalArgumentException](assign(0))
   }
 }

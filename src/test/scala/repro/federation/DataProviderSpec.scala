@@ -46,64 +46,63 @@ class DataProviderSpec extends SparkSpec {
     assert(math.abs(s.noisyAvgR - 1.0) < 1.0)
   }
 
+  /** Noiseless run of the one-provider federation: with Ñ^Q = N^Q the
+    * allocation gives the provider `s = round(sr · N^Q)` clusters.
+    */
+  private def noiseless(q: RangeQuery, sr: Double): RunResult =
+    uniform.federation.run(q, sr, eps = inf, useSmc = false, seed = 3)
+
   test("full sample, noiseless: Hansen-Hurwitz estimate is exact (COUNT)") {
-    val a = provider.answer(fullRange, s = 10, epsS = inf, epsE = inf, delta = 1e-3,
-      new Random(3))
-    assert(!a.exactPath)
-    assert(a.scannedClusters == 10 && a.coveringClusters == 10)
-    assert(math.abs(a.estimate - 100.0) < 1e-9) // 100 tensor rows
+    assert(!provider.plan(fullRange, 10, inf, new Random(3)).exactPath)
+    val r = noiseless(fullRange, sr = 0.99)
+    assert(r.scannedClusters == 10 && r.coveringClusters == 10)
+    assert(math.abs(r.answer - 100.0) < 1e-9) // 100 tensor rows
   }
 
   test("full sample, noiseless: exact for SUM(measure)") {
     val q = RangeQuery(Agg.SumMeasure, Seq(DimRange("x", 0, 99)))
-    val a = provider.answer(q, s = 10, epsS = inf, epsE = inf, delta = 1e-3, new Random(4))
-    assert(math.abs(a.estimate - 200.0) < 1e-9) // 200 raw individuals
+    assert(math.abs(noiseless(q, sr = 0.99).answer - 200.0) < 1e-9) // 200 raw individuals
   }
 
   test("uniform clusters: any sample size is exact in the noiseless limit") {
     // all clusters identical ⇒ (N/s)·s·Q(C) = N·Q(C) regardless of s
-    for (s <- Seq(2, 5, 8)) {
-      val a = provider.answer(fullRange, s, epsS = inf, epsE = inf, delta = 1e-3,
-        new Random(5))
-      assert(math.abs(a.estimate - 100.0) < 1e-9, s"s=$s")
-      assert(a.scannedClusters == s)
+    for ((sr, s) <- Seq(0.2 -> 2, 0.5 -> 5, 0.8 -> 8)) {
+      val r = noiseless(fullRange, sr)
+      assert(math.abs(r.answer - 100.0) < 1e-9, s"s=$s")
+      assert(r.scannedClusters == s)
     }
   }
 
   test("N^Q below N^min takes the exact path") {
     // x in [0,5] touches only cluster 0 (values 0..9); nMin = 4 > 1
     val q = RangeQuery(Agg.Count, Seq(DimRange("x", 0, 5)))
-    val a = provider.answer(q, s = 1, epsS = inf, epsE = inf, delta = 1e-3, new Random(6))
-    assert(a.exactPath)
-    assert(a.estimate == 6.0) // 6 tensor rows (values 0..5)
-    assert(a.sensNumerator == 1.0)
+    assert(provider.plan(q, 1, inf, new Random(6)).exactPath)
+    assert(noiseless(q, sr = 0.5).answer == 6.0) // 6 tensor rows (values 0..5)
+    // the exact path releases with sensitivity 1: scale = 1 / ε^E
+    val r = uniform.federation.run(q, 0.5, eps = 1.0, useSmc = false, seed = 6)
+    assert(r.noiseScale == 1.0 / (uniform.federation.cfg.hp3 * 1.0))
   }
 
   test("exact path answer equals the provider-local plain scan") {
     val q = RangeQuery(Agg.SumMeasure, Seq(DimRange("x", 10, 25)))
     val covering = provider.meta.coveringClusters(q)
     assume(covering.size < provider.nMin)
-    val a = provider.answer(q, s = 1, epsS = inf, epsE = inf, delta = 1e-3, new Random(7))
-    assert(a.exactPath)
-    assert(a.estimate == 32.0) // 16 values × measure 2
+    assert(provider.plan(q, 1, inf, new Random(7)).exactPath)
+    assert(noiseless(q, sr = 0.5).answer == 32.0) // 16 values × measure 2
   }
 
   test("approximation path reports a positive smooth-sensitivity numerator") {
-    val a = provider.answer(fullRange, s = 4, epsS = inf, epsE = 0.8, delta = 1e-3,
-      new Random(8))
-    assert(!a.exactPath && a.sensNumerator > 0)
+    assert(!provider.plan(fullRange, 4, inf, new Random(8)).exactPath)
+    val r = uniform.federation.run(fullRange, 0.4, eps = 1.0, useSmc = false, seed = 8)
+    assert(r.noiseScale > 0)
   }
 
   test("requested sample size is clamped to N^Q") {
-    val a = provider.answer(fullRange, s = 50, epsS = inf, epsE = inf, delta = 1e-3,
-      new Random(9))
-    assert(a.scannedClusters == 10)
+    assert(provider.plan(fullRange, 50, inf, new Random(9)).clusterIds.size == 10)
   }
 
   test("sample size floor of 1 is enforced") {
-    val a = provider.answer(fullRange, s = 0, epsS = inf, epsE = inf, delta = 1e-3,
-      new Random(10))
-    assert(a.scannedClusters == 1)
+    assert(provider.plan(fullRange, 0, inf, new Random(10)).clusterIds.size == 1)
   }
 
   test("covering proportions feed sampling probabilities that sum to 1") {

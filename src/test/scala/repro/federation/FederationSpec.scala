@@ -111,12 +111,38 @@ class FederationSpec extends SparkSpec {
 
   test("provider answers compose: federated exact equals sum of local exacts") {
     val setup = TestFixtures.adultSmall
-    val ids = setup.metas.map(_.providerId)
-    val total = ids.map(setup.eval.exactLocal(_, q)).sum
-    assert(total == setup.eval.exactTotal(q))
+    val locals = setup.metas.map { m =>
+      setup.eval.perCluster(Map(m.providerId -> m.clusters.map(_.clusterId)), q).values.sum
+    }
+    assert(locals.sum == setup.eval.exactTotal(q))
   }
 
   test("invalid hyperparameter split is rejected") {
     intercept[IllegalArgumentException](FedConfig(hp1 = 0.5, hp2 = 0.5, hp3 = 0.5))
+  }
+
+  test("delta outside (0,1) is rejected") {
+    for (d <- Seq(0.0, 1.0, -1e-3, Double.NaN))
+      intercept[IllegalArgumentException](FedConfig(delta = d))
+  }
+
+  test("a non-positive privacy budget is refused, not answered with infinite noise") {
+    for (eps <- Seq(0.0, -1.0, Double.NaN)) {
+      val e = intercept[IllegalArgumentException](fed.run(q, 0.2, eps, useSmc = false, seed = 18))
+      assert(e.getMessage.contains("eps"))
+    }
+  }
+
+  test("a sampling rate outside (0,1) is refused") {
+    for (sr <- Seq(0.0, 1.0, 1.5, -0.1)) {
+      val e = intercept[IllegalArgumentException](fed.run(q, sr, 1.0, useSmc = false, seed = 19))
+      assert(e.getMessage.contains("sampling rate"))
+    }
+  }
+
+  test("a query on an unknown dimension is refused") {
+    val bad = RangeQuery(Agg.Count, Seq(DimRange("age", 20, 60), DimRange("salary", 1, 9)))
+    val e = intercept[IllegalArgumentException](fed.run(bad, 0.2, 1.0, useSmc = false, seed = 20))
+    assert(e.getMessage.contains("salary"))
   }
 }

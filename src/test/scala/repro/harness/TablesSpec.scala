@@ -1,6 +1,7 @@
 package repro.harness
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestFixtures}
+import repro.data.Datasets
 
 /** Harness smoke tests: table formatting and the cheapest end-to-end
   * harness (full experiment runs live in bench/).
@@ -25,5 +26,18 @@ class TablesSpec extends SparkSpec {
     assert(rows.forall(r => r.rowSharingMs > r.resultSharingMs))
     // and its cost grows with the table
     assert(rows(1).rowSharingMs > rows(0).rowSharingMs)
+  }
+
+  test("sweep yields one finite row per axis value and aggregation on every axis") {
+    val ctx = new Tables.Context(TestFixtures.adultSmall)
+    for ((axis, xs, sr) <- Seq((Tables.Axis.N, Seq(2.0, 3.0), 0.2),
+                               (Tables.Axis.Sr, Seq(10.0, 20.0, 30.0), Double.NaN),
+                               (Tables.Axis.Eps, Seq(0.5, 1.0), 0.2))) {
+      val series = Tables.Series("Adult", Datasets.adultDims, xs, sr)
+      val rows = Tables.sweep(ctx, series, axis, m = 2, seed = 5L)
+      assert(rows.size == 2 * xs.size, s"$axis")
+      assert(rows.map(r => (r.x, r.agg)).toSet == xs.flatMap(x => Seq((x, "COUNT"), (x, "SUM"))).toSet)
+      assert(rows.forall(r => r.avgRelErr.isFinite && r.avgSpeedup.isFinite), s"$axis: $rows")
+    }
   }
 }
