@@ -61,7 +61,7 @@ final class NbcAttack(val saDim: DimSpec, val qiDims: Seq[DimSpec]) {
   }
 
   /** Train the NBC by issuing every training query through `answer` (the
-    * system under attack — private pipeline or exact oracle).
+    * system under attack — private pipeline or exact answers).
     */
   def train(answer: RangeQuery => Double, agg: Agg): NbcModel = {
     val qs = trainingQueries(agg)

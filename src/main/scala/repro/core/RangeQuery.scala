@@ -39,18 +39,4 @@ final case class RangeQuery(agg: Agg, ranges: Seq[DimRange]) {
     case Agg.Count      => count(lit(1)).cast("double")
     case Agg.SumMeasure => coalesce(sum(col(measure)).cast("double"), lit(0.0))
   }
-
-  /** SQL text for the DuckDB oracle. The oracle stores every column as
-    * VARCHAR, so each compared/ summed column is cast explicitly.
-    */
-  def oracleSql(table: String, measure: String = Tensor.MeasureCol): String = {
-    val where = ranges
-      .map(r => s"CAST(${r.dim} AS INTEGER) BETWEEN ${r.lb} AND ${r.ub}")
-      .mkString(" AND ")
-    val sel = agg match {
-      case Agg.Count      => "CAST(COUNT(*) AS DOUBLE)"
-      case Agg.SumMeasure => s"COALESCE(CAST(SUM(CAST($measure AS DOUBLE)) AS DOUBLE), 0.0)"
-    }
-    s"SELECT $sel AS answer FROM $table WHERE $where"
-  }
 }

@@ -125,24 +125,27 @@ object Datasets {
     RangeQuery(agg, ranges)
   }
 
+  /** Random queries drawn in search of a qualifying workload before giving up. */
+  private val MaxTries = 10000
+
   /** Workload restricted, as in §6.1, to queries that trigger the
     * approximation (`N^Q ≥ N^min`) at every provider. Draws until `m`
-    * qualifying queries are found (or the retry budget runs out).
+    * qualifying queries are found (or [[MaxTries]] draws are spent).
     */
   def qualifyingWorkload(fed: Federation, dims: Seq[DimSpec], m: Int, n: Int, agg: Agg,
-                         seed: Long, maxTries: Int = 10000): Seq[RangeQuery] = {
+                         seed: Long): Seq[RangeQuery] = {
     val rng = new Random(seed)
     val out = Seq.newBuilder[RangeQuery]
     var found = 0
     var tries = 0
-    while (found < m && tries < maxTries) {
+    while (found < m && tries < MaxTries) {
       val q = randomQuery(dims, n, agg, rng)
       val ok = fed.providers.forall(p => p.covering(q)._1.size >= p.nMin)
       if (ok) { out += q; found += 1 }
       tries += 1
     }
     require(found == m,
-      s"only $found/$m qualifying queries after $maxTries tries — lower N^min or enlarge data")
+      s"only $found/$m qualifying queries after $MaxTries tries — lower N^min or enlarge data")
     out.result()
   }
 }

@@ -2,57 +2,43 @@ package repro.dp
 
 import scala.util.Random
 
-/** Exponential mechanism (paper Def 3.5) and the EM-based cluster sampling
-  * of Algorithm 2.
-  *
-  * A draw selects index `i` with probability proportional to
-  * `exp(ε·L(i) / (2·Δ_L))`. Weights are computed with the max-subtracted
-  * softmax trick so large `score/Δ` ratios cannot overflow.
+/** Exponential mechanism (paper Def 3.5) in the form Algorithm 2 uses it:
+  * `s` clusters drawn without replacement.
   */
 object Exponential {
 
-  /** One ε-DP draw from `scores`. `ε = ∞` degenerates to argmax (noiseless
-    * selection), which tests use to pin down the scoring function.
-    */
-  def select(scores: IndexedSeq[Double], eps: Double, sensitivity: Double,
-             rng: Random): Int = {
-    require(scores.nonEmpty, "cannot select from an empty candidate set")
-    if (eps.isPosInfinity) return scores.indices.maxBy(scores)
-    val exponents = scores.map(s => eps * s / (2.0 * sensitivity))
-    val m = exponents.max
-    val weights = exponents.map(e => math.exp(e - m))
-    val total = weights.sum
-    var r = rng.nextDouble() * total
-    var i = 0
-    while (i < weights.length - 1) {
-      r -= weights(i)
-      if (r <= 0) return i
-      i += 1
-    }
-    weights.length - 1
-  }
-
-  /** Algorithm 2 (`EM_sampling`): select `s` distinct indices without
-    * replacement, spending `ε^s = totalEps / s` per draw; the score of a
-    * cluster is its sampling probability `p_i` (Eq 1) with sensitivity
-    * `Δp = 1/(N^min(N^min+1))` (Theorem 5.2).
+  /** Algorithm 2 (`EM_sampling`): pick `s` distinct indices, each draw an
+    * ε-DP exponential-mechanism draw at `ε^s = totalEps / s` that picks `i`
+    * with probability proportional to `exp(ε^s·L(i) / (2·Δ_L))` among the
+    * indices not yet picked. The score of a cluster is its sampling
+    * probability `p_i` (Eq 1), with sensitivity `Δp = 1/(N^min(N^min+1))`
+    * (Theorem 5.2).
+    *
+    * The `s` draws are made at once: the `s` largest of
+    * `ε^s·L(i)/(2·Δ_L) + G_i`, with `G_i` i.i.d. standard Gumbel, are
+    * distributed exactly as `s` successive draws at `ε^s` each (Durfee &
+    * Rogers, NeurIPS 2019, "Practical Differentially Private Top-k
+    * Selection with Pay-what-you-get Composition"), so the per-draw budget
+    * and the total `ε^S` are those of the `s` draws. The result lists the
+    * indices in draw order. `totalEps = ∞` keeps the top `s` scores, ties
+    * going to the lower index, and draws no random number.
     */
   def sampleWithoutReplacement(scores: IndexedSeq[Double], s: Int, totalEps: Double,
                                sensitivity: Double, rng: Random): Vector[Int] = {
-    val n = scores.length
-    val k = math.min(math.max(s, 0), n)
+    val k = math.min(math.max(s, 0), scores.length)
     if (k == 0) return Vector.empty
-    val perDraw = if (totalEps.isPosInfinity) totalEps else totalEps / k
-    val remaining = scala.collection.mutable.ArrayBuffer.range(0, n)
-    val picked = Vector.newBuilder[Int]
-    var i = 0
-    while (i < k) {
-      val localScores = remaining.map(scores).toIndexedSeq
-      val j = select(localScores, perDraw, sensitivity, rng)
-      picked += remaining(j)
-      remaining.remove(j)
-      i += 1
-    }
-    picked.result()
+    val scale = totalEps / k / (2.0 * sensitivity)
+    val keys =
+      if (totalEps.isPosInfinity) scores
+      else scores.map(x => scale * x + gumbel(rng))
+    // a stable sort: equal keys keep index order
+    keys.indices.sortBy(keys)(Ordering.Double.TotalOrdering.reverse).take(k).toVector
+  }
+
+  /** One standard Gumbel draw, `−ln(−ln u)` with `u` uniform in (0,1). */
+  private def gumbel(rng: Random): Double = {
+    var u = rng.nextDouble()
+    while (u == 0.0) u = rng.nextDouble()
+    -math.log(-math.log(u))
   }
 }

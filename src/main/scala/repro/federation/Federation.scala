@@ -2,7 +2,7 @@ package repro.federation
 
 import scala.util.Random
 
-import repro.core.{ClusterEval, RangeQuery}
+import repro.core.{ClusterEval, ProviderMetadata, RangeQuery}
 import repro.dp.Laplace
 import repro.smc.SecretSharing
 
@@ -16,6 +16,7 @@ final case class FedConfig(hp1: Double = 0.1, hp2: Double = 0.1, hp3: Double = 0
                            rFloorFrac: Double = 0.02) {
   require(math.abs(hp1 + hp2 + hp3 - 1.0) < 1e-9, "hp1+hp2+hp3 must be 1")
   require(delta > 0 && delta < 1, s"delta must be in (0,1), got $delta")
+  require(nMin >= 1, s"N^min must be at least 1, got $nMin")
   require(rFloorFrac >= 0 && rFloorFrac < 1, "rFloorFrac must be in [0,1)")
 }
 
@@ -37,8 +38,10 @@ final case class RunResult(answer: Double, exact: Double, relativeError: Double,
   * with per-provider Laplace noise (pure-DP path) or with a single noise
   * draw over the SMC-summed estimates (Algorithm 3 lines 7–11).
   */
-final class Federation(val providers: Seq[DataProvider], eval: ClusterEval, val cfg: FedConfig) {
-  require(providers.nonEmpty)
+final class Federation(metas: Seq[ProviderMetadata], eval: ClusterEval, val cfg: FedConfig) {
+  require(metas.nonEmpty)
+
+  val providers: Seq[DataProvider] = metas.map(new DataProvider(_, cfg))
 
   private val dims: Set[String] = providers.iterator.flatMap(_.meta.dimNames).toSet
 

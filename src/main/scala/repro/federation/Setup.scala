@@ -30,10 +30,8 @@ final case class FederationSetup(federation: Federation, eval: ClusterEval,
   /** Build an in-memory evaluator over the same clustered tensor, for
     * harnesses that replay many protocol runs without Spark jobs.
     */
-  def inMemory(cfg: FedConfig): Federation = {
-    val mem = InMemoryClusterEval.fromDataFrame(clustered, dims)
-    new Federation(metas.map(new DataProvider(_, cfg.nMin, cfg.rFloorFrac)), mem, cfg)
-  }
+  def inMemory(cfg: FedConfig): Federation =
+    new Federation(metas, InMemoryClusterEval.fromDataFrame(clustered, dims), cfg)
 }
 
 /** Offline phase of the paper (§5.2) as one Spark dataflow: horizontal
@@ -109,7 +107,6 @@ object Setup {
     }
 
     val eval = new SparkClusterEval(clustered)
-    val providers = metas.map(new DataProvider(_, cfg.nMin, cfg.rFloorFrac))
-    FederationSetup(new Federation(providers, eval, cfg), eval, clustered, dims, S, metas)
+    FederationSetup(new Federation(metas, eval, cfg), eval, clustered, dims, S, metas)
   }
 }

@@ -232,23 +232,29 @@ object Tables {
     "paper: SMC ~ no overhead, tighter noise",
     Seq("query", "mode", "|noise|min", "|noise|max", "avgRelErr", "avgSpeedup"))
 
-  /** SMC vs DP release (§6.5): 5 two-dimensional COUNT queries on the
-    * Adult-like federation `ctx`, each repeated `iters` times with and
-    * without SMC; reports the realized |noise| range (in-memory
+  // Figure 8's workload: two-dimensional COUNT queries at sr = 10 %, ε = 1
+  private val F8Queries = 5
+  private val F8Sr = 0.1
+  private val F8Eps = 1.0
+  private val F8Seed = 37L
+
+  /** SMC vs DP release (§6.5): [[F8Queries]] two-dimensional COUNT queries
+    * on the Adult-like federation `ctx`, each repeated `iters` times with
+    * and without SMC; reports the realized |noise| range (in-memory
     * repetitions), error, and speed-up (Spark).
     */
-  def smcVsDp(ctx: Context, iters: Int = 5, nQueries: Int = 5, sr: Double = 0.1,
-              eps: Double = 1.0, seed: Long = 37L): Seq[SmcRow] = {
+  def smcVsDp(ctx: Context, iters: Int = 5): Seq[SmcRow] = {
     val fed = ctx.setup.federation
     val mem = ctx.mem
-    val qs = Datasets.qualifyingWorkload(fed, Datasets.adultDims, nQueries, 2, Agg.Count, seed)
+    val qs = Datasets.qualifyingWorkload(fed, Datasets.adultDims, F8Queries, 2, Agg.Count, F8Seed)
     (for ((q, qi) <- qs.zipWithIndex; smc <- Seq(false, true)) yield {
       val exact = exactTimed(fed, q)
       val sp = (0 until 2).map(it =>
-        fed.run(q, sr, eps, useSmc = smc, seed = seed + qi * 1000 + it,
+        fed.run(q, F8Sr, F8Eps, useSmc = smc, seed = F8Seed + qi * 1000 + it,
           exactBaseline = Some(exact)).speedup).sum / 2
       val reps = (0 until iters).map(it =>
-        mem.run(q, sr, eps, useSmc = smc, seed = seed + qi * 1000 + it * 10 + (if (smc) 1 else 0),
+        mem.run(q, F8Sr, F8Eps, useSmc = smc,
+          seed = F8Seed + qi * 1000 + it * 10 + (if (smc) 1 else 0),
           exactBaseline = Some((exact._1, 0.0))))
       SmcRow(qi, if (smc) "SMC" else "DP",
         reps.map(r => math.abs(r.noise)).min, reps.map(r => math.abs(r.noise)).max,
@@ -270,17 +276,19 @@ object Tables {
   /** The table sizes Figure 1 is drawn at: 1/8, 1/4, 1/2 and all of `maxRows`. */
   def rowSharingSizes(maxRows: Long): Seq[Long] = Seq(8, 4, 2, 1).map(maxRows / _)
 
+  private val F1Seed = 51L
+
   /** SMC cost simulation (§2, Figure 1): share rows vs share results for
     * random 2-dim range queries over Adult-like data at growing sizes.
     */
-  def rowSharingSimulation(spark: SparkSession, sizes: Seq[Long], queriesPerSize: Int = 3,
-                           seed: Long = 51L): Seq[RowShareRow] = {
-    val rng = new Random(seed)
+  def rowSharingSimulation(spark: SparkSession, sizes: Seq[Long],
+                           queriesPerSize: Int = 3): Seq[RowShareRow] = {
+    val rng = new Random(F1Seed)
     val dims = Datasets.adultDims
     sizes.map { rows =>
-      val raw = Datasets.adultRaw(spark, rows, seed).withColumn(
+      val raw = Datasets.adultRaw(spark, rows, F1Seed).withColumn(
         Clustering.ProviderCol,
-        least(lit(NProviders - 1), floor(rand(seed) * NProviders)).cast("int"))
+        least(lit(NProviders - 1), floor(rand(F1Seed) * NProviders)).cast("int"))
       val collected = raw.collect()
       val parties = (0 until NProviders).map { pid =>
         val mine = collected.filter(_.getInt(dims.size) == pid)
@@ -316,6 +324,12 @@ object Tables {
   val T1: Figure = Figure("Table 1: inference accuracy based on xi",
     "paper: <1% in every cell", Seq("composition", "agg", "xi", "accuracy", "perQueryEps"))
 
+  // Table 1's grid (§6.6): the analyst's total budgets ξ and ψ, each query's sr
+  private val T1Xis = Seq(1.0, 20.0, 50.0, 100.0)
+  private val T1Psi = 1e-6
+  private val T1Sr = 0.1
+  private val T1Seed = 61L
+
   /** The context line printed above Table 1. */
   def attackBaselines(control: Double, majority: Double): String =
     f"no-privacy control (exact answers): accuracy = ${control * 100}%.2f%%; " +
@@ -335,16 +349,11 @@ object Tables {
     *          with zero queries; the information-free floor given the
     *          skewed SA marginal)
     */
-  def attackAnalysis(spark: SparkSession, rows: Long,
-                     xis: Seq[Double] = Seq(1.0, 20.0, 50.0, 100.0), psi: Double = 1e-6,
-                     sr: Double = 0.1, cfg: FedConfig = DefaultCfg,
-                     seed: Long = 61L): (Seq[AttackRow], Double, Double) = {
+  def attackAnalysis(spark: SparkSession, rows: Long): (Seq[AttackRow], Double, Double) = {
     val dims = Datasets.attackQiDims :+ Datasets.attackSaDim
     val setup = Setup.build(spark, Datasets.attackRaw(spark, rows),
-      dims.map(_.name), NProviders, clusterFrac = 0.01, cfg, Storage.Cached, seed = 44L)
+      dims.map(_.name), NProviders, clusterFrac = 0.01, DefaultCfg, Storage.Cached, seed = 44L)
     val mem = repro.core.InMemoryClusterEval.fromDataFrame(setup.clustered, setup.dims)
-    def fedWith(c: FedConfig): Federation =
-      new Federation(setup.metas.map(new DataProvider(_, c.nMin, c.rFloorFrac)), mem, c)
 
     val attack = new NbcAttack(Datasets.attackSaDim, Datasets.attackQiDims)
 
@@ -370,19 +379,19 @@ object Tables {
     val n = attack.nQueries
     val rows2 = for {
       (comp, budgetOf) <- Seq[(String, (Double) => Composition.Budget)](
-        ("Sequential", xi => Composition.sequentialPerQuery(xi, psi, n)),
-        ("Advanced", xi => Composition.advancedPerQuery(xi, psi, n)),
-        ("Coalition", xi => Composition.coalitionPerQuery(xi, psi)))
+        ("Sequential", xi => Composition.sequentialPerQuery(xi, T1Psi, n)),
+        ("Advanced", xi => Composition.advancedPerQuery(xi, T1Psi, n)),
+        ("Coalition", xi => Composition.coalitionPerQuery(xi, T1Psi)))
       agg <- Seq(Agg.Count, Agg.SumMeasure)
-      xi <- xis
+      xi <- T1Xis
     } yield {
       val b = budgetOf(xi)
-      val fedQ = fedWith(cfg.copy(delta = b.delta))
+      val fedQ = new Federation(setup.metas, mem, DefaultCfg.copy(delta = b.delta))
       var qIdx = 0
       val answer: RangeQuery => Double = { q =>
         qIdx += 1
-        fedQ.run(q, sr, b.eps, useSmc = false,
-          seed = seed + qIdx + math.round(xi * 7) + (if (agg == Agg.Count) 0 else 1),
+        fedQ.run(q, T1Sr, b.eps, useSmc = false,
+          seed = T1Seed + qIdx + math.round(xi * 7) + (if (agg == Agg.Count) 0 else 1),
           exactBaseline = Some((0.0, 0.0))).answer
       }
       val model = attack.train(answer, agg)

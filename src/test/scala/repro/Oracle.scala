@@ -2,7 +2,8 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+
+import repro.core.{Agg, RangeQuery, Tensor}
 
 /** DuckDB correctness oracle.
   *
@@ -16,6 +17,21 @@ import scala.jdk.CollectionConverters._
   * to scalar columns — array/map/struct are not comparable here.
   */
 object Oracle {
+
+  /** SQL text of `q` over `table`. The oracle stores every column as
+    * VARCHAR, so each compared/ summed column is cast explicitly.
+    */
+  def sql(q: RangeQuery, table: String): String = {
+    val where = q.ranges
+      .map(r => s"CAST(${r.dim} AS INTEGER) BETWEEN ${r.lb} AND ${r.ub}")
+      .mkString(" AND ")
+    val sel = q.agg match {
+      case Agg.Count      => "CAST(COUNT(*) AS DOUBLE)"
+      case Agg.SumMeasure =>
+        s"COALESCE(CAST(SUM(CAST(${Tensor.MeasureCol} AS DOUBLE)) AS DOUBLE), 0.0)"
+    }
+    s"SELECT $sel AS answer FROM $table WHERE $where"
+  }
 
   private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
     val order = cols.sorted

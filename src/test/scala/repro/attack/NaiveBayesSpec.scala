@@ -21,11 +21,9 @@ class NaiveBayesSpec extends SparkSpec {
   private lazy val setup: FederationSetup = {
     val dims = (Datasets.attackQiDims :+ sa).map(_.name)
     Setup.build(spark, TestFixtures.attackRawSmall, dims, nProviders = 4,
-      clusterFrac = 0.01, FedConfig(nMin = 6), Storage.Cached, seed = 44L)
+      clusterFrac = 0.01, TestFixtures.cfg, Storage.Cached, seed = 44L)
   }
   private lazy val mem = InMemoryClusterEval.fromDataFrame(setup.clustered, setup.dims)
-  private lazy val fed = new Federation(
-    setup.metas.map(new DataProvider(_, 6)), mem, FedConfig(nMin = 6))
 
   private lazy val truth: Seq[(Map[String, Int], Int, Long)] = setup.clustered
     .groupBy(setup.dims.map(col): _*)
@@ -75,9 +73,7 @@ class NaiveBayesSpec extends SparkSpec {
 
   test("attack through the private pipeline collapses toward random") {
     val b = repro.dp.Composition.sequentialPerQuery(1.0, 1e-6, smallAttack.nQueries)
-    val fedQ = new Federation(
-      setup.metas.map(new DataProvider(_, 6)), mem,
-      FedConfig(nMin = 6, delta = b.delta))
+    val fedQ = new Federation(setup.metas, mem, TestFixtures.cfg.copy(delta = b.delta))
     var i = 0
     val model = smallAttack.train({ q =>
       i += 1

@@ -19,13 +19,13 @@ class ClusterEvalSpec extends SparkSpec {
 
   test("exactTotal matches the DuckDB oracle (COUNT)") {
     val got = fed.clustered.filter(q2.predicate).agg(q2.aggregate().as("answer"))
-    Oracle.assertEquivalent(got, q2.oracleSql("t"), "t" -> fed.clustered)
+    Oracle.assertEquivalent(got, Oracle.sql(q2, "t"), "t" -> fed.clustered)
     assert(sparkEval.exactTotal(q2) == got.head.getDouble(0))
   }
 
   test("exactTotal matches the DuckDB oracle (SUM)") {
     val got = fed.clustered.filter(qSum.predicate).agg(qSum.aggregate().as("answer"))
-    Oracle.assertEquivalent(got, qSum.oracleSql("t"), "t" -> fed.clustered)
+    Oracle.assertEquivalent(got, Oracle.sql(qSum, "t"), "t" -> fed.clustered)
     assert(sparkEval.exactTotal(qSum) == got.head.getDouble(0))
   }
 

@@ -18,19 +18,19 @@ class RangeQuerySpec extends SparkSpec {
   test("COUNT range query matches DuckDB oracle") {
     val q = RangeQuery(Agg.Count, Seq(DimRange("age", 20, 40), DimRange("edu", 5, 12)))
     val got = tensor.filter(q.predicate).agg(q.aggregate().as("answer"))
-    Oracle.assertEquivalent(got, q.oracleSql("tensor"), "tensor" -> tensor)
+    Oracle.assertEquivalent(got, Oracle.sql(q, "tensor"), "tensor" -> tensor)
   }
 
   test("SUM(measure) range query matches DuckDB oracle") {
     val q = RangeQuery(Agg.SumMeasure, Seq(DimRange("age", 30, 60), DimRange("hours", 10, 50)))
     val got = tensor.filter(q.predicate).agg(q.aggregate().as("answer"))
-    Oracle.assertEquivalent(got, q.oracleSql("tensor"), "tensor" -> tensor)
+    Oracle.assertEquivalent(got, Oracle.sql(q, "tensor"), "tensor" -> tensor)
   }
 
   test("single-dimension COUNT matches oracle") {
     val q = RangeQuery(Agg.Count, Seq(DimRange("workclass", 2, 5)))
     val got = tensor.filter(q.predicate).agg(q.aggregate().as("answer"))
-    Oracle.assertEquivalent(got, q.oracleSql("tensor"), "tensor" -> tensor)
+    Oracle.assertEquivalent(got, Oracle.sql(q, "tensor"), "tensor" -> tensor)
   }
 
   test("four-dimension SUM matches oracle") {
@@ -38,7 +38,7 @@ class RangeQuerySpec extends SparkSpec {
       DimRange("age", 17, 55), DimRange("edu", 2, 14),
       DimRange("occupation", 1, 9), DimRange("capgain", 0, 30)))
     val got = tensor.filter(q.predicate).agg(q.aggregate().as("answer"))
-    Oracle.assertEquivalent(got, q.oracleSql("tensor"), "tensor" -> tensor)
+    Oracle.assertEquivalent(got, Oracle.sql(q, "tensor"), "tensor" -> tensor)
   }
 
   test("empty-result SUM evaluates to 0 (not null)") {
@@ -96,6 +96,6 @@ class RangeQuerySpec extends SparkSpec {
 
   test("oracleSql casts dimensions (VARCHAR-stored oracle tables compare numerically)") {
     val q = RangeQuery(Agg.Count, Seq(DimRange("age", 5, 100)))
-    assert(q.oracleSql("t").contains("CAST(age AS INTEGER) BETWEEN 5 AND 100"))
+    assert(Oracle.sql(q, "t").contains("CAST(age AS INTEGER) BETWEEN 5 AND 100"))
   }
 }

@@ -19,7 +19,7 @@ class FederationSpec extends SparkSpec {
   test("ground truth equals the DuckDB oracle") {
     val df = TestFixtures.adultSmall.clustered
     val got = df.filter(q.predicate).agg(q.aggregate().as("answer"))
-    Oracle.assertEquivalent(got, q.oracleSql("t"), "t" -> df)
+    Oracle.assertEquivalent(got, Oracle.sql(q, "t"), "t" -> df)
     assert(fed.exactWithTime(q)._1 == got.head.getDouble(0))
   }
 
@@ -124,6 +124,13 @@ class FederationSpec extends SparkSpec {
   test("delta outside (0,1) is rejected") {
     for (d <- Seq(0.0, 1.0, -1e-3, Double.NaN))
       intercept[IllegalArgumentException](FedConfig(delta = d))
+  }
+
+  test("N^min below 1 is refused") {
+    for (n <- Seq(0, -3)) {
+      val e = intercept[IllegalArgumentException](FedConfig(nMin = n))
+      assert(e.getMessage.contains("N^min"))
+    }
   }
 
   test("a non-positive privacy budget is refused, not answered with infinite noise") {

@@ -59,8 +59,8 @@ class ProtocolPropertySpec extends SparkSpec {
   }
 
   test("dropping the proportion floor to 0 never loses covering clusters") {
-    val strict = setup.metas.map(new DataProvider(_, TestFixtures.cfg.nMin, 0.0))
-    val floored = setup.metas.map(new DataProvider(_, TestFixtures.cfg.nMin, 0.05))
+    val strict = setup.metas.map(new DataProvider(_, TestFixtures.cfg.copy(rFloorFrac = 0.0)))
+    val floored = setup.metas.map(new DataProvider(_, TestFixtures.cfg.copy(rFloorFrac = 0.05)))
     for (q <- randomQueries(15, 6)) {
       for ((s, f) <- strict.zip(floored)) {
         val (cs, _) = s.covering(q)
@@ -73,7 +73,7 @@ class ProtocolPropertySpec extends SparkSpec {
 
   test("zero-floor covering set contains every cluster with matching rows") {
     val mem = InMemoryClusterEval.fromDataFrame(setup.clustered, setup.dims)
-    val strict = setup.metas.map(new DataProvider(_, TestFixtures.cfg.nMin, 0.0))
+    val strict = setup.metas.map(new DataProvider(_, TestFixtures.cfg.copy(rFloorFrac = 0.0)))
     for (q <- randomQueries(10, 7); p <- strict) {
       val (cq, _) = p.covering(q)
       val withRows = mem
