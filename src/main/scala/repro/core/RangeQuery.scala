@@ -34,9 +34,12 @@ final case class RangeQuery(agg: Agg, ranges: Seq[DimRange]) {
   def predicate: Column =
     ranges.map(r => col(r.dim) >= r.lb && col(r.dim) <= r.ub).reduce(_ && _)
 
-  /** Spark aggregate expression over the measure column. */
-  def aggregate(measure: String = Tensor.MeasureCol): Column = agg match {
-    case Agg.Count      => count(lit(1)).cast("double")
-    case Agg.SumMeasure => coalesce(sum(col(measure)).cast("double"), lit(0.0))
+  /** Per-row contribution to the answer as a `Long` column: 1 for
+    * `COUNT(*)`, the measure for `SUM(Measure)`. Its sum over the rows that
+    * pass [[predicate]] is the answer, exactly.
+    */
+  def contribution: Column = agg match {
+    case Agg.Count      => lit(1L)
+    case Agg.SumMeasure => col(Tensor.MeasureCol).cast("long")
   }
 }

@@ -5,26 +5,29 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.data.Datasets
 
-/** Physical per-cluster evaluation: Spark and in-memory implementations
-  * agree with each other, with brute force, and with the DuckDB oracle.
+/** Physical per-cluster evaluation: the DataFrame, block and in-memory
+  * implementations agree with each other, with brute force, and with the
+  * DuckDB oracle.
   */
 class ClusterEvalSpec extends SparkSpec {
 
   private lazy val fed = TestFixtures.adultSmall
   private lazy val sparkEval = new SparkClusterEval(fed.clustered)
   private lazy val memEval = InMemoryClusterEval.fromDataFrame(fed.clustered, fed.dims)
+  private lazy val blockEval = BlockClusterEval.fromDataFrame(fed.clustered, fed.dims)
+  private def evals: Seq[ClusterEval] = Seq(sparkEval, memEval, blockEval)
 
   private val q2 = RangeQuery(Agg.Count, Seq(DimRange("age", 20, 50), DimRange("edu", 3, 12)))
   private val qSum = RangeQuery(Agg.SumMeasure, Seq(DimRange("age", 25, 70)))
 
   test("exactTotal matches the DuckDB oracle (COUNT)") {
-    val got = fed.clustered.filter(q2.predicate).agg(q2.aggregate().as("answer"))
+    val got = fed.clustered.filter(q2.predicate).agg(sum(q2.contribution).cast("double").as("answer"))
     Oracle.assertEquivalent(got, Oracle.sql(q2, "t"), "t" -> fed.clustered)
     assert(sparkEval.exactTotal(q2) == got.head.getDouble(0))
   }
 
   test("exactTotal matches the DuckDB oracle (SUM)") {
-    val got = fed.clustered.filter(qSum.predicate).agg(qSum.aggregate().as("answer"))
+    val got = fed.clustered.filter(qSum.predicate).agg(sum(qSum.contribution).cast("double").as("answer"))
     Oracle.assertEquivalent(got, Oracle.sql(qSum, "t"), "t" -> fed.clustered)
     assert(sparkEval.exactTotal(qSum) == got.head.getDouble(0))
   }
@@ -36,6 +39,40 @@ class ClusterEvalSpec extends SparkSpec {
         if (rng.nextBoolean()) Agg.Count else Agg.SumMeasure, rng)
       assert(sparkEval.exactTotal(q) == memEval.exactTotal(q), s"query $q")
     }
+  }
+
+  /** 10 random COUNT/SUM queries, each with a random sample of clusters
+    * from a random subset of providers: `block` agrees with the Spark and
+    * in-memory evaluators on `perCluster` and `exactTotal`.
+    */
+  private def agreesOnRandomQueries(block: ClusterEval, seed: Int): Unit = {
+    val rng = new scala.util.Random(seed)
+    for (_ <- 1 to 10) {
+      val q = Datasets.randomQuery(Datasets.adultDims, 1 + rng.nextInt(4),
+        if (rng.nextBoolean()) Agg.Count else Agg.SumMeasure, rng)
+      val sampled = fed.metas.filter(_ => rng.nextDouble() < 0.8).map { m =>
+        m.providerId -> rng.shuffle(m.clusters.map(_.clusterId)).take(1 + rng.nextInt(8))
+      }.toMap
+      val expected = memEval.perCluster(sampled, q)
+      assert(block.perCluster(sampled, q) == expected, s"query $q, sample $sampled")
+      assert(sparkEval.perCluster(sampled, q) == expected, s"query $q, sample $sampled")
+      assert(block.exactTotal(q) == memEval.exactTotal(q), s"query $q")
+      assert(sparkEval.exactTotal(q) == memEval.exactTotal(q), s"query $q")
+    }
+  }
+
+  test("block evaluation agrees with Spark and in-memory evaluation on random queries") {
+    agreesOnRandomQueries(blockEval, seed = 5)
+  }
+
+  test("block evaluation agrees when clusters are split across partitions") {
+    val spread = fed.clustered.repartition(7).cache()
+    val partsPerCluster = spread
+      .select(col(Clustering.ProviderCol), col(Clustering.ClusterCol), spark_partition_id().as("part"))
+      .distinct().groupBy(Clustering.ProviderCol, Clustering.ClusterCol).count()
+    assert(partsPerCluster.filter(col("count") > 1).count() > 0, "expected split clusters")
+    agreesOnRandomQueries(BlockClusterEval.fromDataFrame(spread, fed.dims), seed = 6)
+    spread.unpersist()
   }
 
   test("perCluster agrees between Spark and in-memory evaluation") {
@@ -58,25 +95,32 @@ class ClusterEvalSpec extends SparkSpec {
   test("perCluster reports 0 for sampled clusters with no matching rows") {
     // a query matching nothing: age below the domain
     val qNone = RangeQuery(Agg.Count, Seq(DimRange("age", 1, 5)))
-    val got = sparkEval.perCluster(Map(0 -> Seq(0, 1)), qNone)
-    assert(got == Map((0, 0) -> 0.0, (0, 1) -> 0.0))
+    for (e <- evals)
+      assert(e.perCluster(Map(0 -> Seq(0, 1)), qNone) == Map((0, 0) -> 0.0, (0, 1) -> 0.0), e)
+  }
+
+  test("perCluster reports 0 for requested clusters that do not exist") {
+    val sampled = Map(0 -> Seq(100000), 9 -> Seq(0))
+    for (e <- evals) assert(e.perCluster(sampled, q2) == Map((0, 100000) -> 0.0, (9, 0) -> 0.0), e)
   }
 
   test("perCluster result keys exactly mirror the request") {
     val sampled = Map(0 -> Seq(0, 7), 1 -> Seq(2), 3 -> Seq(1, 2, 3))
-    val got = memEval.perCluster(sampled, q2)
     val expectedKeys = for ((p, cs) <- sampled.toSeq; c <- cs) yield (p, c)
-    assert(got.keySet == expectedKeys.toSet)
+    for (e <- evals) assert(e.perCluster(sampled, q2).keySet == expectedKeys.toSet, e)
   }
 
   test("empty sample yields an empty result") {
-    assert(sparkEval.perCluster(Map.empty, q2).isEmpty)
-    assert(sparkEval.perCluster(Map(0 -> Seq.empty), q2).isEmpty)
+    for (e <- evals) {
+      assert(e.perCluster(Map.empty, q2).isEmpty, e)
+      assert(e.perCluster(Map(0 -> Seq.empty), q2).isEmpty, e)
+    }
   }
 
   test("perCluster over all providers' covering clusters sums to exactTotal") {
     val covering = fed.metas.map(m => m.providerId -> m.coveringClusters(q2).map(_.clusterId)).toMap
     assert(memEval.perCluster(covering, q2).values.sum == memEval.exactTotal(q2))
     assert(sparkEval.perCluster(covering, q2).values.sum == sparkEval.exactTotal(q2))
+    assert(blockEval.perCluster(covering, q2).values.sum == blockEval.exactTotal(q2))
   }
 }

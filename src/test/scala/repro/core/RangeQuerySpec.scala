@@ -1,9 +1,11 @@
 package repro.core
 
+import org.apache.spark.sql.functions.sum
+
 import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.data.Datasets
 
-/** Range-query model: predicate/aggregate semantics oracle-checked against
+/** Range-query model: predicate/contribution semantics oracle-checked against
   * DuckDB, plus model invariants.
   */
 class RangeQuerySpec extends SparkSpec {
@@ -17,19 +19,19 @@ class RangeQuerySpec extends SparkSpec {
 
   test("COUNT range query matches DuckDB oracle") {
     val q = RangeQuery(Agg.Count, Seq(DimRange("age", 20, 40), DimRange("edu", 5, 12)))
-    val got = tensor.filter(q.predicate).agg(q.aggregate().as("answer"))
+    val got = tensor.filter(q.predicate).agg(sum(q.contribution).cast("double").as("answer"))
     Oracle.assertEquivalent(got, Oracle.sql(q, "tensor"), "tensor" -> tensor)
   }
 
   test("SUM(measure) range query matches DuckDB oracle") {
     val q = RangeQuery(Agg.SumMeasure, Seq(DimRange("age", 30, 60), DimRange("hours", 10, 50)))
-    val got = tensor.filter(q.predicate).agg(q.aggregate().as("answer"))
+    val got = tensor.filter(q.predicate).agg(sum(q.contribution).cast("double").as("answer"))
     Oracle.assertEquivalent(got, Oracle.sql(q, "tensor"), "tensor" -> tensor)
   }
 
   test("single-dimension COUNT matches oracle") {
     val q = RangeQuery(Agg.Count, Seq(DimRange("workclass", 2, 5)))
-    val got = tensor.filter(q.predicate).agg(q.aggregate().as("answer"))
+    val got = tensor.filter(q.predicate).agg(sum(q.contribution).cast("double").as("answer"))
     Oracle.assertEquivalent(got, Oracle.sql(q, "tensor"), "tensor" -> tensor)
   }
 
@@ -37,7 +39,7 @@ class RangeQuerySpec extends SparkSpec {
     val q = RangeQuery(Agg.SumMeasure, Seq(
       DimRange("age", 17, 55), DimRange("edu", 2, 14),
       DimRange("occupation", 1, 9), DimRange("capgain", 0, 30)))
-    val got = tensor.filter(q.predicate).agg(q.aggregate().as("answer"))
+    val got = tensor.filter(q.predicate).agg(sum(q.contribution).cast("double").as("answer"))
     Oracle.assertEquivalent(got, Oracle.sql(q, "tensor"), "tensor" -> tensor)
   }
 

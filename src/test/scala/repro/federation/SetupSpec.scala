@@ -3,7 +3,7 @@ package repro.federation
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestFixtures}
-import repro.core.{Clustering, InMemoryClusterEval, Tensor}
+import repro.core.{BlockClusterEval, Clustering, InMemoryClusterEval, SparkClusterEval, Tensor}
 import repro.data.Datasets
 
 /** Offline-phase dataflow: provider split, tensor construction, common
@@ -71,6 +71,9 @@ class SetupSpec extends SparkSpec {
       FedConfig(nMin = 4), Storage.Cached, seed = 9L)
     assert(setup.clustered.count() == cached.clustered.count())
     assert(setup.S == cached.S)
+    // each store is scanned by its own evaluator
+    assert(setup.eval.isInstanceOf[SparkClusterEval])
+    assert(cached.eval.isInstanceOf[BlockClusterEval])
     // same content regardless of storage
     val a = setup.clustered.select(setup.clustered.columns.sorted.map(col): _*)
       .collect().map(_.toString).sorted
