@@ -1,7 +1,12 @@
 package repro.federation
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
+import java.util.Comparator
+import java.util.concurrent.ConcurrentHashMap
 
+import scala.util.Using
+
+import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -10,10 +15,13 @@ import repro.core._
 /** How the clustered federated tensor is materialized, and so which
   * evaluator scans it.
   *
-  *  - [[Storage.Parquet]]: written partitioned by `(provider_id,
-  *    cluster_id)` and read back; [[repro.core.SparkClusterEval]]'s
-  *    sampled-cluster scans touch only the sampled files (real I/O saving —
-  *    used by the paper-figure benches);
+  *  - [[Storage.Parquet]]: one parquet file per provider, its rows sorted
+  *    by `cluster_id` with one page per cluster, read back;
+  *    [[repro.core.SparkClusterEval]]'s sampled-cluster scans skip the
+  *    pages of unsampled clusters by their column-index statistics (real
+  *    I/O saving — used by the paper-figure benches). Without a `dir`, the
+  *    store goes to a fresh temporary directory that is deleted when the
+  *    JVM exits; a given `dir` is never deleted;
   *  - [[Storage.Cached]]: kept as a cached DataFrame, plus per-cluster
   *    column blocks in Spark's memory that [[repro.core.BlockClusterEval]]
   *    scans, reading only the partitions that hold sampled clusters (fast
@@ -94,12 +102,8 @@ object Setup {
       case Storage.Cached =>
         val df = assigned.cache(); df.count(); df
       case Storage.Parquet(dirOpt) =>
-        val dir = dirOpt.getOrElse(
-          Files.createTempDirectory("repro-fed-").toAbsolutePath.toString)
-        assigned.write
-          .mode("overwrite")
-          .partitionBy(Clustering.ProviderCol, Clustering.ClusterCol)
-          .parquet(dir)
+        val dir = dirOpt.getOrElse(TempStores.create().toString)
+        writeByProvider(spark, assigned, nProviders, S, dir)
         spark.read.parquet(dir)
     }
 
@@ -117,4 +121,52 @@ object Setup {
     }
     FederationSetup(new Federation(metas, eval, cfg), eval, clustered, dims, S, metas)
   }
+
+  /** Write the clustered tensor as one parquet file per provider, holding
+    * only that provider's rows sorted by `cluster_id`, with `provider_id` a
+    * data column. Every cluster but a provider's last has exactly `S` rows,
+    * so pages of `S` rows start at cluster boundaries, and each page's
+    * column-index statistics name one `(provider, cluster)`: a
+    * sampled-cluster filter skips the other clusters' pages.
+    */
+  private def writeByProvider(spark: SparkSession, assigned: DataFrame, nProviders: Int,
+                              S: Int, dir: String): Unit = {
+    // provider ids are 0 until nProviders, and an Int hashes to itself, so
+    // provider p lands in partition p
+    val byProvider = assigned.rdd
+      .keyBy(_.getAs[Int](Clustering.ProviderCol))
+      .partitionBy(new HashPartitioner(nProviders))
+      .values
+    spark.createDataFrame(byProvider, assigned.schema)
+      .sortWithinPartitions(Clustering.ClusterCol)
+      .write
+      .mode("overwrite")
+      .option("parquet.page.row.count.limit", S.toLong)
+      // a page ends only where the writer checks its size: first after this
+      // many rows (default 100), then at every S rows
+      .option("parquet.page.size.row.check.min", math.min(S, 100).toLong)
+      .parquet(dir)
+  }
+}
+
+/** Temporary parquet stores made by [[Setup.build]], deleted by one
+  * shutdown hook when the JVM exits.
+  */
+private[federation] object TempStores {
+  private val dirs = ConcurrentHashMap.newKeySet[Path]()
+
+  sys.addShutdownHook(dirs.forEach(delete))
+
+  def create(): Path = {
+    val dir = Files.createTempDirectory("repro-fed-").toAbsolutePath
+    dirs.add(dir)
+    dir
+  }
+
+  /** Delete `dir` if [[create]] made it; leave any other directory alone. */
+  def delete(dir: Path): Unit =
+    if (dirs.remove(dir) && Files.exists(dir))
+      Using.resource(Files.walk(dir)) { paths =>
+        paths.sorted(Comparator.reverseOrder[Path]()).forEach(p => Files.deleteIfExists(p))
+      }
 }

@@ -3,7 +3,7 @@ package repro
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
 
-import repro.core.{Agg, RangeQuery, Tensor}
+import repro.core.{Agg, Clustering, RangeQuery, Tensor}
 
 /** DuckDB correctness oracle.
   *
@@ -21,16 +21,30 @@ object Oracle {
   /** SQL text of `q` over `table`. The oracle stores every column as
     * VARCHAR, so each compared/ summed column is cast explicitly.
     */
-  def sql(q: RangeQuery, table: String): String = {
-    val where = q.ranges
-      .map(r => s"CAST(${r.dim} AS INTEGER) BETWEEN ${r.lb} AND ${r.ub}")
-      .mkString(" AND ")
-    val sel = q.agg match {
-      case Agg.Count      => "CAST(COUNT(*) AS DOUBLE)"
-      case Agg.SumMeasure =>
-        s"COALESCE(CAST(SUM(CAST(${Tensor.MeasureCol} AS DOUBLE)) AS DOUBLE), 0.0)"
-    }
-    s"SELECT $sel AS answer FROM $table WHERE $where"
+  def sql(q: RangeQuery, table: String): String =
+    s"SELECT ${answer(q)} AS answer FROM $table WHERE ${where(q)}"
+
+  /** SQL text of `q` per sampled `(provider, cluster)` of `table`, as rows
+    * `(p, c, answer)`; a key with no matching row has no row.
+    */
+  def perClusterSql(q: RangeQuery, sampled: Map[Int, Seq[Int]], table: String): String = {
+    val keys = sampled.toSeq.filter(_._2.nonEmpty).map { case (p, cs) =>
+      s"(CAST(${Clustering.ProviderCol} AS INTEGER) = $p AND " +
+        s"CAST(${Clustering.ClusterCol} AS INTEGER) IN (${cs.mkString(", ")}))"
+    }.mkString(" OR ")
+    s"SELECT CAST(${Clustering.ProviderCol} AS INTEGER) AS p, " +
+      s"CAST(${Clustering.ClusterCol} AS INTEGER) AS c, ${answer(q)} AS answer " +
+      s"FROM $table WHERE ${where(q)} AND ($keys) GROUP BY 1, 2"
+  }
+
+  private def where(q: RangeQuery): String = q.ranges
+    .map(r => s"CAST(${r.dim} AS INTEGER) BETWEEN ${r.lb} AND ${r.ub}")
+    .mkString(" AND ")
+
+  private def answer(q: RangeQuery): String = q.agg match {
+    case Agg.Count      => "CAST(COUNT(*) AS DOUBLE)"
+    case Agg.SumMeasure =>
+      s"COALESCE(CAST(SUM(CAST(${Tensor.MeasureCol} AS DOUBLE)) AS DOUBLE), 0.0)"
   }
 
   private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {

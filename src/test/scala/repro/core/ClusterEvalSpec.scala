@@ -4,10 +4,11 @@ import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.data.Datasets
+import repro.federation.{Setup, Storage}
 
-/** Physical per-cluster evaluation: the DataFrame, block and in-memory
-  * implementations agree with each other, with brute force, and with the
-  * DuckDB oracle.
+/** Physical per-cluster evaluation: the DataFrame (over the cached and the
+  * parquet store), block and in-memory implementations agree with each
+  * other, with brute force, and with the DuckDB oracle.
   */
 class ClusterEvalSpec extends SparkSpec {
 
@@ -73,6 +74,39 @@ class ClusterEvalSpec extends SparkSpec {
     assert(partsPerCluster.filter(col("count") > 1).count() > 0, "expected split clusters")
     agreesOnRandomQueries(BlockClusterEval.fromDataFrame(spread, fed.dims), seed = 6)
     spread.unpersist()
+  }
+
+  /** The same federation as `fed`, stored as parquet. */
+  private lazy val parquetFed = Setup.build(spark, Datasets.adultRaw(spark, 20000, seed = 11L),
+    Datasets.adultDims.map(_.name), nProviders = 4, clusterFrac = 0.01, TestFixtures.cfg,
+    Storage.Parquet(), seed = 42L, skewProviders = true)
+
+  test("parquet evaluation agrees with in-memory and DuckDB on random queries") {
+    val pq = parquetFed
+    assert(pq.eval.isInstanceOf[SparkClusterEval])
+    val mem = InMemoryClusterEval.fromDataFrame(pq.clustered, pq.dims)
+    val rng = new scala.util.Random(7)
+    // providers draw from one pool of ids, so they often sample the same id;
+    // up to 16 ids per provider, so some filters list more than 10
+    val pool = pq.metas.map(_.clusters.size).min
+    val samples = Map(0 -> Seq(3, 7), 1 -> Seq(3, 7), 2 -> Seq(3)) +: Seq.fill(9) {
+      pq.metas.filter(m => m.providerId < 2 || rng.nextDouble() < 0.6).map { m =>
+        m.providerId -> rng.shuffle((0 until pool).toList).take(1 + rng.nextInt(16))
+      }.toMap
+    }
+    for (sampled <- samples) {
+      val q = Datasets.randomQuery(Datasets.adultDims, 1 + rng.nextInt(3),
+        if (rng.nextBoolean()) Agg.Count else Agg.SumMeasure, rng)
+      val got = pq.eval.perCluster(sampled, q)
+      val total = pq.eval.exactTotal(q)
+      assert(got == mem.perCluster(sampled, q), s"query $q, sample $sampled")
+      assert(total == mem.exactTotal(q), s"query $q")
+      import spark.implicits._
+      val rows = got.toSeq.filter(_._2 != 0.0).map { case ((p, c), v) => (p, c, v) } :+ ((-1, -1, total))
+      Oracle.assertEquivalent(rows.toDF("p", "c", "answer"),
+        s"${Oracle.perClusterSql(q, sampled, "t")} UNION ALL SELECT -1, -1, answer FROM (${Oracle.sql(q, "t")})",
+        "t" -> pq.clustered)
+    }
   }
 
   test("perCluster agrees between Spark and in-memory evaluation") {

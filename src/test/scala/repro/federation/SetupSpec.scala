@@ -1,9 +1,16 @@
 package repro.federation
 
+import java.nio.file.Path
+
+import scala.collection.mutable
+
+import org.apache.commons.io.FileUtils
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestFixtures}
-import repro.core.{BlockClusterEval, Clustering, InMemoryClusterEval, SparkClusterEval, Tensor}
+import repro.core.{Agg, BlockClusterEval, Clustering, DimRange, InMemoryClusterEval, RangeQuery,
+  SparkClusterEval, Tensor}
 import repro.data.Datasets
 
 /** Offline-phase dataflow: provider split, tensor construction, common
@@ -82,15 +89,97 @@ class SetupSpec extends SparkSpec {
     assert(a.sameElements(b))
   }
 
-  test("parquet layout is partitioned by provider and cluster (pruning works)") {
-    val dir = java.nio.file.Files.createTempDirectory("repro-setup-prune-").toString
-    Setup.build(spark, Datasets.adultRaw(spark, 5000, seed = 7L),
-      Datasets.adultDims.map(_.name), nProviders = 2, clusterFrac = 0.02,
-      FedConfig(nMin = 4), Storage.Parquet(Some(dir)), seed = 9L)
-    val p0 = new java.io.File(s"$dir/${Clustering.ProviderCol}=0")
-    assert(p0.isDirectory, "expected provider partition directories")
-    assert(p0.listFiles().exists(_.getName.startsWith(s"${Clustering.ClusterCol}=")),
-      "expected nested cluster partition directories")
+  test("one sorted parquet file per provider; one-cluster scans read <= 2S rows") {
+    val setup = Setup.build(spark, Datasets.adultRaw(spark, 5000, seed = 7L),
+      Datasets.adultDims.map(_.name), nProviders = 4, clusterFrac = 0.02,
+      FedConfig(nMin = 4), Storage.Parquet(), seed = 9L)
+    val entries = storeDir(setup).toFile.listFiles()
+    assert(!entries.exists(_.isDirectory), "expected no partition directories")
+    val files = entries.filter(_.getName.endsWith(".parquet")).map(_.getPath)
+    assert(files.length <= 4)
+    val providersPerFile = files.toSeq.map { f =>
+      val rows = spark.read.parquet(f)
+        .select(Clustering.ProviderCol, Clustering.ClusterCol).collect()
+      val clusters = rows.map(_.getInt(1))
+      assert(clusters.sameElements(clusters.sorted), s"$f is not sorted by cluster")
+      rows.map(_.getInt(0)).distinct.toSeq
+    }
+    assert(providersPerFile.forall(_.size == 1), s"providers per file: $providersPerFile")
+    assert(providersPerFile.flatten.sorted == Seq(0, 1, 2, 3))
+
+    // a query matching every row, over one middle cluster of one provider
+    val all = RangeQuery(Agg.Count, Seq(DimRange("age", 17, 90)))
+    val cluster = setup.metas(1).clusters(1)
+    val (answer, read) = withRecordsRead(setup.eval.perCluster(Map(1 -> Seq(cluster.clusterId)), all))
+    assert(answer == Map((1, cluster.clusterId) -> cluster.nRows.toDouble))
+    assert(read >= cluster.nRows && read <= 2L * setup.S, s"read $read records, S = ${setup.S}")
+
+    // more clusters than Spark pushes as an exact list, spread over the
+    // provider: only the sampled clusters' pages are read
+    val spread = setup.metas(1).clusters.grouped(3).map(_.head).take(12).toSeq
+    assert(spread.size == 12)
+    val (answers, readMany) = withRecordsRead(
+      setup.eval.perCluster(Map(1 -> spread.map(_.clusterId)), all))
+    assert(answers == spread.map(c => (1, c.clusterId) -> c.nRows.toDouble).toMap)
+    assert(readMany == spread.map(_.nRows).sum, s"read $readMany records")
+  }
+
+  test("a store Setup.build made itself is deleted; a supplied dir is not") {
+    val supplied = java.nio.file.Files.createTempDirectory("repro-setup-own-")
+    def build(storage: Storage) = Setup.build(spark, Datasets.adultRaw(spark, 2000, seed = 7L),
+      Datasets.adultDims.map(_.name), nProviders = 2, clusterFrac = 0.05,
+      FedConfig(nMin = 4), storage, seed = 9L)
+    val made = storeDir(build(Storage.Parquet()))
+    assert(made.getFileName.toString.startsWith("repro-fed-"))
+    TempStores.delete(made)
+    assert(!java.nio.file.Files.exists(made))
+    assert(storeDir(build(Storage.Parquet(Some(supplied.toString)))) == supplied)
+    TempStores.delete(supplied)
+    assert(java.nio.file.Files.exists(supplied.resolve("_SUCCESS")))
+    FileUtils.deleteDirectory(supplied.toFile)
+  }
+
+  /** The directory `s`'s parquet store was read from. */
+  private def storeDir(s: FederationSetup): Path =
+    Path.of(new java.net.URI(s.clustered.inputFiles.head)).getParent
+
+  /** `body`'s result and the input records read by the Spark jobs it runs:
+    * a listener sums the tasks' `inputMetrics.recordsRead` over the jobs
+    * started under a tag, and a marker job run afterwards shows every
+    * earlier event was handled (the listener bus delivers events in order).
+    */
+  private def withRecordsRead[A](body: => A): (A, Long) = {
+    val sc = spark.sparkContext
+    val key = "repro.test.tag"
+    val counter = new SparkListener {
+      private val stages = mutable.Set.empty[Int]
+      var records = 0L
+      var markerSeen = false
+      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+        Option(e.properties).map(_.getProperty(key)) match {
+          case Some("count")  => stages ++= e.stageIds
+          case Some("marker") => markerSeen = true
+          case _              =>
+        }
+      }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+        if (stages(e.stageId) && e.taskMetrics != null)
+          records += e.taskMetrics.inputMetrics.recordsRead
+      }
+    }
+    sc.addSparkListener(counter)
+    try {
+      sc.setLocalProperty(key, "count")
+      val result = try body finally sc.setLocalProperty(key, null)
+      sc.setLocalProperty(key, "marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(key, null)
+      val deadline = System.nanoTime() + 30L * 1000000000L
+      while (!counter.synchronized(counter.markerSeen)) {
+        assert(System.nanoTime() < deadline, "Spark listener stalled")
+        Thread.sleep(5)
+      }
+      (result, counter.synchronized(counter.records))
+    } finally sc.removeSparkListener(counter)
   }
 
   test("inMemory federation mirrors the Spark federation's exact answers") {
