@@ -19,7 +19,12 @@ Writes `BENCH_<name>.json` at the repository root: both revisions and shas,
 `nproc`, run length, and per workload the seeds, every run's metrics and
 exit code, each side's median and quartiles per end-to-end metric, the pairs
 each side won (ties count for neither, directions from BENCHMARK.json), and
-the traced runs' per-layer metrics.
+the traced runs' per-layer metrics. Against each metric's `bound` in
+BENCHMARK.json it states the no-regression rule: `worse_than_bound` when the
+head's median is worse than the base's by more than the bound (relative to
+the base's median), and `spread_wider_than_bound` when the base's quartile
+spread divided by its median is above the bound, so the metric is unresolved
+rather than unchanged.
 """
 
 import argparse
@@ -95,9 +100,10 @@ def quartiles(xs: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list, directions: dict) -> dict:
+def summarize(pairs: list, end_to_end: list) -> dict:
     out = {}
-    for metric, better in directions.items():
+    for m in end_to_end:
+        metric, better, bound = m["name"], m["better"], m["bound"]
         both = [(p["base"]["metrics"][metric], p["head"]["metrics"][metric]) for p in pairs
                 if "metrics" in p["base"] and "metrics" in p["head"]]
         if not both:
@@ -107,15 +113,19 @@ def summarize(pairs: list, directions: dict) -> dict:
         base_wins = sum(1 for b, h in both if sign * (b - h) > 0)
         base = quartiles([b for b, _ in both])
         head = quartiles([h for _, h in both])
-        gain = None
+        gain = spread = None
         if base["q1"] is not None:
             gain = sign * (head["median"] - base["median"]) > base["q3"] - base["q1"]
+            if base["median"]:
+                spread = (base["q3"] - base["q1"]) / abs(base["median"]) > bound
+        change = (head["median"] - base["median"]) / base["median"] if base["median"] else None
         out[metric] = {
-            "better": better, "pairs": len(both), "head_wins": head_wins,
+            "better": better, "bound": bound, "pairs": len(both), "head_wins": head_wins,
             "base_wins": base_wins, "base": base, "head": head,
-            "median_change": (head["median"] - base["median"]) / base["median"]
-            if base["median"] else None,
+            "median_change": change,
             "head_beats_base_iqr": gain,
+            "worse_than_bound": None if change is None else -sign * change > bound,
+            "spread_wider_than_bound": spread,
         }
     return out
 
@@ -145,7 +155,6 @@ def main() -> int:
         shas = {side: checkout(rev, trees[side])
                 for side, rev in (("base", args.base), ("head", args.head))}
         bench = json.loads((trees["base"] / "BENCHMARK.json").read_text())
-        directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
         report = {
             "name": args.name,
@@ -168,7 +177,7 @@ def main() -> int:
                     print(f"{wl} seed {seed} {side}: exit {pair[side]['exit']} "
                           f"query_ms_p50 {m.get('query_ms_p50')}", flush=True)
                 pairs.append(pair)
-            entry = {"seeds": seeds, "pairs": pairs, "summary": summarize(pairs, directions)}
+            entry = {"seeds": seeds, "pairs": pairs, "summary": summarize(pairs, bench["end_to_end"])}
             if args.trace_seed is not None:
                 entry["traced"] = {"seed": args.trace_seed}
                 for side in ("base", "head"):

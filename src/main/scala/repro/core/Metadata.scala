@@ -84,37 +84,30 @@ final case class ProviderMetadata(providerId: Int, S: Int, dimNames: Seq[String]
 /** Offline metadata construction — Algorithm 1 as a Spark aggregation.
   *
   * One `groupBy(cluster, value).count` pass per dimension produces the
-  * distinct-value histograms; suffix sums (the stored `R^{d≥}` proportions)
+  * distinct-value histograms; a cluster's row count is the sum of its first
+  * dimension's histogram. Suffix sums (the stored `R^{d≥}` proportions)
   * are finished on the driver, where the result lives anyway: the whole
   * point of the paper's metadata is that it is small enough to consult
   * without touching the data (11 MB for a 120 GB table in §6.1).
   */
 object Metadata {
   def build(clustered: DataFrame, dims: Seq[String], S: Int, providerId: Int): ProviderMetadata = {
-    val sizes: Map[Int, Long] = clustered
-      .groupBy(col(Clustering.ClusterCol))
-      .agg(count(lit(1)).as("n"))
-      .collect()
-      .map(r => r.getInt(0) -> r.getLong(1))
-      .toMap
-
-    // (clusterId, dim) -> ascending (value, rowCount) histogram
-    val hist = scala.collection.mutable.Map.empty[(Int, String), Vector[(Int, Long)]]
-    for (d <- dims) {
-      val rows = clustered
+    require(dims.nonEmpty, "metadata needs at least one dimension")
+    // dim -> clusterId -> ascending (value, rowCount) histogram
+    val hist: Map[String, Map[Int, Vector[(Int, Long)]]] = dims.map { d =>
+      d -> clustered
         .groupBy(col(Clustering.ClusterCol), col(d).cast("int").as("v"))
         .agg(count(lit(1)).as("n"))
         .collect()
-      rows
         .groupBy(_.getInt(0))
-        .foreach { case (cid, rs) =>
-          hist((cid, d)) = rs.map(r => (r.getInt(1), r.getLong(2))).sortBy(_._1).toVector
-        }
-    }
+        .map { case (cid, rs) => cid -> rs.map(r => (r.getInt(1), r.getLong(2))).sortBy(_._1).toVector }
+    }.toMap
 
-    val metas = sizes.keys.toVector.sorted.map { cid =>
+    // every row has a value in each dimension, so the first dimension's
+    // histogram names every cluster and sums to its row count
+    val metas = hist(dims.head).toVector.sortBy(_._1).map { case (cid, first) =>
       val dimMetas = dims.map { d =>
-        val h = hist((cid, d))
+        val h = hist(d)(cid)
         val values = h.map(_._1).toArray
         // suffix sums: R^{d>=}(v_i) = (sum of counts at indices >= i) / S
         val rGe = new Array[Double](values.length)
@@ -123,7 +116,7 @@ object Metadata {
         while (i >= 0) { acc += h(i)._2; rGe(i) = acc.toDouble / S; i -= 1 }
         d -> DimMeta(values, rGe)
       }.toMap
-      ClusterMeta(cid, sizes(cid), dimMetas)
+      ClusterMeta(cid, first.map(_._2).sum, dimMetas)
     }
     ProviderMetadata(providerId, S, dims, metas)
   }

@@ -21,8 +21,8 @@ final case class LocalAnswer(providerId: Int, estimate: Double, sensNumerator: D
   * the scan of its sampled clusters is batched by [[Federation.run]]. All privacy
   * decisions — what leaves this object — go through DP mechanisms:
   * Laplace-perturbed summaries (Eq 5), EM cluster sampling (Algorithm 2),
-  * and smooth-sensitivity-calibrated release (Algorithm 3). `N^min` and the
-  * proportion floor come from the federation's `cfg`.
+  * and smooth-sensitivity-calibrated release (Algorithm 3). `N^min` comes
+  * from the federation's `cfg`; the proportion floor is fixed (DESIGN.md §4).
   */
 final class DataProvider(val meta: ProviderMetadata, cfg: FedConfig) {
   def providerId: Int = meta.providerId
@@ -30,25 +30,28 @@ final class DataProvider(val meta: ProviderMetadata, cfg: FedConfig) {
   /** `N^min`, the approximation threshold. */
   def nMin: Int = cfg.nMin
 
+  /** [[covering]] drops clusters with `R` below this fraction of the mean. */
+  private final val RFloorFrac = 0.02
+
   /** `C^Q` and the approximated proportions `R̂` (Eq 1/2), from metadata
     * only — no data scan.
     *
     * Two refinements over the raw Eq 2 box test (DESIGN.md §4):
     *  - clusters with `R = 0` are dropped: a zero per-dimension marginal
     *    proves the cluster holds no matching row, so it cannot contribute;
-    *  - clusters with `R` below `cfg.rFloorFrac ×` the mean positive proportion
+    *  - clusters with `R` below `RFloorFrac ×` the mean positive proportion
     *    are dropped — a safety net against the paper's scenario-4 local
     *    sensitivity `1/p`, which explodes when a near-empty boundary cluster
     *    is EM-sampled (a regime the paper's page-clustered data never
-    *    enters). The bias is at most `rFloorFrac` of the per-cluster average
-    *    mass per dropped cluster, and `1/p ≤ N^Q/rFloorFrac` afterwards.
+    *    enters). The bias is at most `RFloorFrac` of the per-cluster average
+    *    mass per dropped cluster, and `1/p ≤ N^Q/RFloorFrac` afterwards.
     */
   def covering(q: RangeQuery): (Vector[ClusterMeta], Vector[Double]) = {
     val cq = meta.coveringClusters(q)
     val rs = meta.proportions(cq, q)
     val pos = cq.zip(rs).filter(_._2 > 0.0)
     if (pos.isEmpty) return (Vector.empty, Vector.empty)
-    val theta = cfg.rFloorFrac * (pos.map(_._2).sum / pos.size)
+    val theta = RFloorFrac * (pos.map(_._2).sum / pos.size)
     val kept = pos.filter(_._2 >= theta)
     (kept.map(_._1), kept.map(_._2))
   }

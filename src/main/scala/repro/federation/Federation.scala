@@ -6,18 +6,18 @@ import repro.core.{ClusterEval, ProviderMetadata, RangeQuery}
 import repro.dp.Laplace
 import repro.smc.SecretSharing
 
-/** Protocol-level configuration (paper §5.4 / §6.1 hyperparameters):
-  * budget split `ε^O = hp1·ε, ε^S = hp2·ε, ε^E = hp3·ε`, the failure
-  * probability δ of the smooth-sensitivity release, and the per-provider
-  * approximation threshold `N^min`.
+/** Protocol-level configuration (paper §5.4 / §6.1): the failure
+  * probability δ of the smooth-sensitivity release and the per-provider
+  * approximation threshold `N^min`. The budget split is the paper's fixed
+  * `ε^O = hp1·ε, ε^S = hp2·ε, ε^E = hp3·ε` with 0.1 / 0.1 / 0.8.
   */
-final case class FedConfig(hp1: Double = 0.1, hp2: Double = 0.1, hp3: Double = 0.8,
-                           delta: Double = 1e-3, nMin: Int = 8,
-                           rFloorFrac: Double = 0.02) {
-  require(math.abs(hp1 + hp2 + hp3 - 1.0) < 1e-9, "hp1+hp2+hp3 must be 1")
+final case class FedConfig(delta: Double = 1e-3, nMin: Int = 8) {
   require(delta > 0 && delta < 1, s"delta must be in (0,1), got $delta")
   require(nMin >= 1, s"N^min must be at least 1, got $nMin")
-  require(rFloorFrac >= 0 && rFloorFrac < 1, "rFloorFrac must be in [0,1)")
+
+  val hp1: Double = 0.1
+  val hp2: Double = 0.1
+  val hp3: Double = 0.8
 }
 
 /** Outcome of one online query, with everything the evaluation section
@@ -55,8 +55,9 @@ final class Federation(metas: Seq[ProviderMetadata], eval: ClusterEval, val cfg:
   /** One online query at sampling rate `sr` and total budget `eps`.
     *
     * Inputs are checked before any random number is drawn: `eps` must be
-    * positive (∞ runs the protocol without noise), `sr` in (0,1), and every
-    * query dimension one of the federation's.
+    * positive (∞ runs the protocol without noise), `sr` in (0,1), every
+    * query dimension one of the federation's, and an SMC release needs at
+    * least two providers.
     *
     * @param exactBaseline optionally a precomputed `(answer, ms)` so ε
     *                      sweeps over the same query reuse one exact scan.
@@ -68,6 +69,8 @@ final class Federation(metas: Seq[ProviderMetadata], eval: ClusterEval, val cfg:
     require(q.ranges.forall(r => dims(r.dim)),
       s"unknown query dimension ${q.ranges.map(_.dim).filterNot(dims).mkString(", ")}; " +
         s"the federation has ${dims.toSeq.sorted.mkString(", ")}")
+    require(!useSmc || providers.size >= 2,
+      s"an SMC release needs at least 2 providers, the federation has ${providers.size}")
     val rng = new Random(seed)
     val lap = new Laplace(rng)
     val epsO = cfg.hp1 * eps

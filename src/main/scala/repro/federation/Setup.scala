@@ -89,10 +89,12 @@ object Setup {
     // 2. per-provider count tensor, built in one pass
     val tensor = Tensor.fromRows(withProvider, Clustering.ProviderCol +: dims)
 
-    // 3. common cluster size S from the average provider tensor size
+    // 3. common cluster size S from the average provider tensor size; a
+    //    provider that received no rows has no count, and gets no metadata
     val counts = tensor.groupBy(col(Clustering.ProviderCol)).agg(count(lit(1)).as("n"))
-      .collect().map(_.getLong(1))
-    val avgRows = counts.sum.toDouble / math.max(1, counts.length)
+      .collect().map(r => r.getInt(0) -> r.getLong(1)).sortBy(_._1)
+    val providerIds = counts.map(_._1).toSeq
+    val avgRows = counts.map(_._2).sum.toDouble / math.max(1, counts.length)
     val S = math.max(1, math.round(clusterFrac * avgRows).toInt)
 
     val assigned = Clustering.assignPerProvider(tensor, dims, S)
@@ -108,8 +110,6 @@ object Setup {
     }
 
     // 5. Algorithm 1 metadata, per provider
-    val providerIds = clustered.select(col(Clustering.ProviderCol)).distinct()
-      .collect().map(_.getInt(0)).sorted.toSeq
     val metas = providerIds.map { pid =>
       Metadata.build(
         clustered.filter(col(Clustering.ProviderCol) === pid), dims, S, pid)

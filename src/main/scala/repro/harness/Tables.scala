@@ -27,7 +27,7 @@ import repro.attack.NbcAttack
 object Tables {
 
   /** Paper defaults (§6.1): 4 providers, δ=1e−3, budget split 0.1/0.1/0.8. */
-  val DefaultCfg: FedConfig = FedConfig(hp1 = 0.1, hp2 = 0.1, hp3 = 0.8, delta = 1e-3, nMin = 8)
+  val DefaultCfg: FedConfig = FedConfig()
   val NProviders = 4
 
   /** Error repetitions per (query, configuration) on the in-memory replay. */
@@ -40,16 +40,14 @@ object Tables {
   val AmazonRows: Long = 24000000L
 
   /** Adult-like federation: S = 1% of the provider-local tensor. */
-  def setupAdult(spark: SparkSession, rows: Long, storage: Storage,
-                 cfg: FedConfig = DefaultCfg): FederationSetup =
+  def setupAdult(spark: SparkSession, rows: Long, storage: Storage): FederationSetup =
     Setup.build(spark, Datasets.adultRaw(spark, rows), Datasets.adultDims.map(_.name),
-      NProviders, clusterFrac = 0.01, cfg, storage, seed = 42L, skewProviders = true)
+      NProviders, clusterFrac = 0.01, DefaultCfg, storage, seed = 42L, skewProviders = true)
 
   /** AmazonReview-like federation: S = 0.5% of the provider-local tensor. */
-  def setupAmazon(spark: SparkSession, rows: Long, storage: Storage,
-                  cfg: FedConfig = DefaultCfg): FederationSetup =
+  def setupAmazon(spark: SparkSession, rows: Long, storage: Storage): FederationSetup =
     Setup.build(spark, Datasets.amazonRaw(spark, rows), Datasets.amazonDims.map(_.name),
-      NProviders, clusterFrac = 0.005, cfg, storage, seed = 43L, skewProviders = true)
+      NProviders, clusterFrac = 0.005, DefaultCfg, storage, seed = 43L, skewProviders = true)
 
   /** One federation and what the harnesses derive from it: the in-memory
     * replay of its clustered tensor, built on first use, and the exact
@@ -277,12 +275,12 @@ object Tables {
   def rowSharingSizes(maxRows: Long): Seq[Long] = Seq(8, 4, 2, 1).map(maxRows / _)
 
   private val F1Seed = 51L
+  private val F1QueriesPerSize = 3
 
   /** SMC cost simulation (§2, Figure 1): share rows vs share results for
     * random 2-dim range queries over Adult-like data at growing sizes.
     */
-  def rowSharingSimulation(spark: SparkSession, sizes: Seq[Long],
-                           queriesPerSize: Int = 3): Seq[RowShareRow] = {
+  def rowSharingSimulation(spark: SparkSession, sizes: Seq[Long]): Seq[RowShareRow] = {
     val rng = new Random(F1Seed)
     val dims = Datasets.adultDims
     sizes.map { rows =>
@@ -301,7 +299,7 @@ object Tables {
       val warmQ = Datasets.randomQuery(dims, 2, Agg.Count, rng)
       RowSharingSmc.evaluateRowSharing(parties, warmQ, NProviders, rng)
       RowSharingSmc.evaluateResultSharing(parties, warmQ, NProviders, rng)
-      val times = (0 until queriesPerSize).map { _ =>
+      val times = (0 until F1QueriesPerSize).map { _ =>
         val q = Datasets.randomQuery(dims, 2, Agg.Count, rng)
         val (a1, tRow) = RowSharingSmc.evaluateRowSharing(parties, q, NProviders, rng)
         val (a2, tRes) = RowSharingSmc.evaluateResultSharing(parties, q, NProviders, rng)

@@ -91,6 +91,13 @@ class DataProviderSpec extends SparkSpec {
     assert(noiseless(q, sr = 0.5).answer == 32.0) // 16 values × measure 2
   }
 
+  test("an SMC release on one provider is refused at entry; local noise is answered") {
+    val e = intercept[IllegalArgumentException](
+      uniform.federation.run(fullRange, 0.5, eps = 1.0, useSmc = true, seed = 11))
+    assert(e.getMessage.contains("SMC") && e.getMessage.contains("has 1"), e.getMessage)
+    assert(uniform.federation.run(fullRange, 0.5, eps = 1.0, useSmc = false, seed = 11).answer.isFinite)
+  }
+
   test("approximation path reports a positive smooth-sensitivity numerator") {
     assert(!provider.plan(fullRange, 4, inf, new Random(8)).exactPath)
     val r = uniform.federation.run(fullRange, 0.4, eps = 1.0, useSmc = false, seed = 8)

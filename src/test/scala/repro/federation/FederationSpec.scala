@@ -119,8 +119,10 @@ class FederationSpec extends SparkSpec {
     assert(locals.sum == setup.eval.exactTotal(q))
   }
 
-  test("invalid hyperparameter split is rejected") {
-    intercept[IllegalArgumentException](FedConfig(hp1 = 0.5, hp2 = 0.5, hp3 = 0.5))
+  test("the budget split is the paper's 0.1/0.1/0.8 and sums to 1") {
+    val cfg = FedConfig()
+    assert((cfg.hp1, cfg.hp2, cfg.hp3) == ((0.1, 0.1, 0.8)))
+    assert(math.abs(cfg.hp1 + cfg.hp2 + cfg.hp3 - 1.0) < 1e-12)
   }
 
   test("delta outside (0,1) is rejected") {

@@ -1,7 +1,7 @@
 package repro.federation
 
 import repro.{SparkSpec, TestFixtures}
-import repro.core.{Agg, InMemoryClusterEval}
+import repro.core.{Agg, InMemoryClusterEval, RangeQuery}
 import repro.data.Datasets
 
 /** Protocol-level invariants swept over random queries on the in-memory
@@ -58,30 +58,28 @@ class ProtocolPropertySpec extends SparkSpec {
     }
   }
 
+  /** `C^Q` without the proportion floor: the covering clusters of Eq 2
+    * whose approximated proportion is positive.
+    */
+  private def zeroFloor(p: DataProvider, q: RangeQuery): Set[Int] =
+    p.meta.coveringClusters(q).filter(_.proportion(q) > 0).map(_.clusterId).toSet
+
   test("dropping the proportion floor to 0 never loses covering clusters") {
-    val strict = setup.metas.map(new DataProvider(_, TestFixtures.cfg.copy(rFloorFrac = 0.0)))
-    val floored = setup.metas.map(new DataProvider(_, TestFixtures.cfg.copy(rFloorFrac = 0.05)))
-    for (q <- randomQueries(15, 6)) {
-      for ((s, f) <- strict.zip(floored)) {
-        val (cs, _) = s.covering(q)
-        val (cf, _) = f.covering(q)
-        assert(cf.size <= cs.size, s"query $q provider ${s.providerId}")
-        assert(cf.map(_.clusterId).toSet.subsetOf(cs.map(_.clusterId).toSet))
-      }
+    for (q <- randomQueries(15, 6); p <- fed.providers) {
+      val (cq, _) = p.covering(q)
+      assert(cq.map(_.clusterId).toSet.subsetOf(zeroFloor(p, q)), s"query $q provider ${p.providerId}")
     }
   }
 
   test("zero-floor covering set contains every cluster with matching rows") {
     val mem = InMemoryClusterEval.fromDataFrame(setup.clustered, setup.dims)
-    val strict = setup.metas.map(new DataProvider(_, TestFixtures.cfg.copy(rFloorFrac = 0.0)))
-    for (q <- randomQueries(10, 7); p <- strict) {
-      val (cq, _) = p.covering(q)
+    for (q <- randomQueries(10, 7); p <- fed.providers) {
+      val cq = zeroFloor(p, q)
       val withRows = mem
         .perCluster(Map(p.providerId -> p.meta.clusters.map(_.clusterId)), q)
         .collect { case ((_, c), v) if v > 0 => c }
         .toSet
-      assert(withRows.subsetOf(cq.map(_.clusterId).toSet),
-        s"query $q provider ${p.providerId}: missing ${withRows.diff(cq.map(_.clusterId).toSet)}")
+      assert(withRows.subsetOf(cq), s"query $q provider ${p.providerId}: missing ${withRows.diff(cq)}")
     }
   }
 }

@@ -139,6 +139,32 @@ class SetupSpec extends SparkSpec {
     FileUtils.deleteDirectory(supplied.toFile)
   }
 
+  test("a provider that receives no rows gets no metadata and no parquet file") {
+    import spark.implicits._
+    // 6 raw rows over 8 providers: at least two providers receive none
+    val raw = (0 until 6).map(i => (i, 2 * i)).toDF("x", "y")
+    val q = RangeQuery(Agg.Count, Seq(DimRange("x", 0, 5)))
+    for (storage <- Seq(Storage.Cached, Storage.Parquet())) {
+      val setup = Setup.build(spark, raw, Seq("x", "y"), nProviders = 8, clusterFrac = 0.5,
+        FedConfig(nMin = 4), storage, seed = 9L)
+      val present = setup.clustered.select(Clustering.ProviderCol).distinct()
+        .collect().map(_.getInt(0)).sorted.toSeq
+      assert(present.size < 8)
+      assert(setup.metas.map(_.providerId) == present, s"$storage")
+      if (storage != Storage.Cached) {
+        val providersPerFile = storeDir(setup).toFile.listFiles()
+          .filter(_.getName.endsWith(".parquet"))
+          .map(f => spark.read.parquet(f.getPath).select(Clustering.ProviderCol).distinct()
+            .collect().map(_.getInt(0)).toSeq)
+          .toSeq
+        assert(providersPerFile.sortBy(_.headOption) == present.map(Seq(_)), s"$providersPerFile")
+      }
+      val noiseless = setup.federation.run(q, 0.5, Double.PositiveInfinity, useSmc = false, seed = 1L)
+      assert(noiseless.answer == 6.0 && noiseless.exact == 6.0, s"$storage")
+      assert(setup.federation.run(q, 0.5, 1.0, useSmc = false, seed = 2L).answer.isFinite)
+    }
+  }
+
   /** The directory `s`'s parquet store was read from. */
   private def storeDir(s: FederationSetup): Path =
     Path.of(new java.net.URI(s.clustered.inputFiles.head)).getParent

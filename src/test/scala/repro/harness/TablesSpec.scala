@@ -20,7 +20,7 @@ class TablesSpec extends SparkSpec {
   }
 
   test("row-sharing simulation produces the Figure-1 shape at tiny scale") {
-    val rows = Tables.rowSharingSimulation(spark, sizes = Seq(1000L, 8000L), queriesPerSize = 2)
+    val rows = Tables.rowSharingSimulation(spark, sizes = Seq(1000L, 8000L))
     assert(rows.size == 2)
     // row sharing costs more than result sharing at every size
     assert(rows.forall(r => r.rowSharingMs > r.resultSharingMs))
