@@ -26,14 +26,4 @@ object BenchFixtures {
 
   lazy val amazon: Tables.Context =
     new Tables.Context(Tables.setupAmazon(SparkSpec.shared, amazonRows, Storage.Parquet()))
-
-  /** Warm the JVM/Spark paths once so the first measured query is not a
-    * cold-start outlier.
-    */
-  lazy val warmed: Unit = {
-    import repro.core.{Agg, DimRange, RangeQuery}
-    val q = RangeQuery(Agg.Count, Seq(DimRange("age", 20, 60)))
-    adult.setup.federation.run(q, 0.2, 1.0, useSmc = false, seed = 0)
-    ()
-  }
 }

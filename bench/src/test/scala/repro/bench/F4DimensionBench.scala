@@ -10,10 +10,8 @@ import repro.harness.Tables
   */
 class F4DimensionBench extends SparkSpec {
 
-  private lazy val rows = {
-    BenchFixtures.warmed
+  private lazy val rows =
     Tables.F4.rows(BenchFixtures.adult, BenchFixtures.amazon, BenchFixtures.m)
-  }
 
   test("print Figure 4/7 table") {
     println(Tables.F4.report(rows, withPaper = true))

@@ -9,10 +9,8 @@ import repro.harness.Tables
   */
 class F5SamplingRateBench extends SparkSpec {
 
-  private lazy val rows = {
-    BenchFixtures.warmed
+  private lazy val rows =
     Tables.F5.rows(BenchFixtures.adult, BenchFixtures.amazon, BenchFixtures.m)
-  }
 
   test("print Figure 5 table") {
     println(Tables.F5.report(rows, withPaper = true))

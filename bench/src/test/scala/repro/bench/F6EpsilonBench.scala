@@ -10,10 +10,8 @@ import repro.harness.Tables
   */
 class F6EpsilonBench extends SparkSpec {
 
-  private lazy val rows = {
-    BenchFixtures.warmed
+  private lazy val rows =
     Tables.F6.rows(BenchFixtures.adult, BenchFixtures.amazon, BenchFixtures.m)
-  }
 
   test("print Figure 6/7 table") {
     println(Tables.F6.report(rows, withPaper = true))

@@ -9,10 +9,8 @@ import repro.harness.Tables
   */
 class F8SmcVsDpBench extends SparkSpec {
 
-  private lazy val rows = {
-    BenchFixtures.warmed
+  private lazy val rows =
     Tables.smcVsDp(BenchFixtures.adult)
-  }
 
   test("print Figure 8 table") {
     println(Tables.report(Tables.F8, rows, withPaper = true))

@@ -9,7 +9,7 @@ import repro.harness.Tables
   *  - T1 (NBC attack): [rows]
   *  - F1 (SMC row vs result sharing): [maxRows]
   *  - F4, F5, F6 (dimension / sampling-rate / ε sweeps): [adultRows] [amazonRows] [m]
-  *  - F8 (SMC vs DP release): [adultRows] [iters]
+  *  - F8 (SMC vs DP release): [adultRows]
   */
 object Run {
   private val Ids = Seq("T1", "F1", "F4", "F5", "F6", "F8")
@@ -30,8 +30,7 @@ object Run {
         val sizes = Tables.rowSharingSizes(arg(0, Tables.AdultRows))
         Tables.report(Tables.F1, Tables.rowSharingSimulation(spark, sizes), withPaper = false)
       case "F8" =>
-        Tables.report(Tables.F8, Tables.smcVsDp(adult(), iters = arg(1, 5L).toInt),
-          withPaper = false)
+        Tables.report(Tables.F8, Tables.smcVsDp(adult()), withPaper = false)
       case _ =>
         val sweep = id match { case "F4" => Tables.F4; case "F5" => Tables.F5; case _ => Tables.F6 }
         val a = adult()

@@ -12,8 +12,7 @@ import repro.dp.{Exponential, Laplace, Sensitivity, SmoothSensitivity}
   * path, or the plain global sensitivity 1 on the exact (`N^Q < N^min`)
   * path. Release noise is `Lap(sensNumerator / ε^E)`.
   */
-final case class LocalAnswer(providerId: Int, estimate: Double, sensNumerator: Double,
-                             scannedClusters: Int, coveringClusters: Int, exactPath: Boolean)
+final case class LocalAnswer(estimate: Double, sensNumerator: Double)
 
 /** A data provider in the federation (paper §5.3).
   *
@@ -101,8 +100,7 @@ final class DataProvider(val meta: ProviderMetadata, cfg: FedConfig) {
              epsE: Double, delta: Double): LocalAnswer = {
     if (p.exactPath) {
       val exact = p.clusterIds.iterator.map(qc.getOrElse(_, 0.0)).sum
-      return LocalAnswer(providerId, exact, sensNumerator = 1.0,
-        scannedClusters = p.clusterIds.size, coveringClusters = p.nQ, exactPath = true)
+      return LocalAnswer(exact, sensNumerator = 1.0)
     }
     val pairs = p.clusterIds.zipWithIndex.map { case (cid, i) => (qc(cid), p.ps(i)) }
     val estimate = Estimator.hansenHurwitz(pairs)
@@ -114,8 +112,7 @@ final class DataProvider(val meta: ProviderMetadata, cfg: FedConfig) {
     }
     val deltaE = SmoothSensitivity.forEstimator(perClusterSls)
 
-    LocalAnswer(providerId, estimate, sensNumerator = 2.0 * deltaE,
-      scannedClusters = p.clusterIds.size, coveringClusters = p.nQ, exactPath = false)
+    LocalAnswer(estimate, sensNumerator = 2.0 * deltaE)
   }
 }
 

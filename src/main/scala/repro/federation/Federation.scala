@@ -119,8 +119,8 @@ final class Federation(metas: Seq[ProviderMetadata], eval: ClusterEval, val cfg:
       answer = answer, exact = exact, relativeError = relErr,
       approxMs = approxMs, exactMs = exactMs,
       speedup = exactMs / math.max(approxMs, 1e-9),
-      scannedClusters = answers.map(_.scannedClusters).sum,
-      coveringClusters = answers.map(_.coveringClusters).sum,
+      scannedClusters = plans.map(_.clusterIds.size).sum,
+      coveringClusters = plans.map(_.nQ).sum,
       noise = noise, noiseScale = noiseScale,
       // parallel composition across providers, sequential across the three
       // steps (paper §5.4): per query the analyst spends (ε, δ).

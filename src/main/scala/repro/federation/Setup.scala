@@ -105,7 +105,7 @@ object Setup {
         val df = assigned.cache(); df.count(); df
       case Storage.Parquet(dirOpt) =>
         val dir = dirOpt.getOrElse(TempStores.create().toString)
-        writeByProvider(spark, assigned, nProviders, S, dir)
+        writeByProvider(spark, assigned, providerIds, S, dir)
         spark.read.parquet(dir)
     }
 
@@ -129,13 +129,14 @@ object Setup {
     * column-index statistics name one `(provider, cluster)`: a
     * sampled-cluster filter skips the other clusters' pages.
     */
-  private def writeByProvider(spark: SparkSession, assigned: DataFrame, nProviders: Int,
+  private def writeByProvider(spark: SparkSession, assigned: DataFrame, providerIds: Seq[Int],
                               S: Int, dir: String): Unit = {
-    // provider ids are 0 until nProviders, and an Int hashes to itself, so
-    // provider p lands in partition p
+    // the provider providerIds(i) lands in partition i (an Int hashes to
+    // itself), so no partition is empty and no empty file is written
+    val index = providerIds.zipWithIndex.toMap
     val byProvider = assigned.rdd
-      .keyBy(_.getAs[Int](Clustering.ProviderCol))
-      .partitionBy(new HashPartitioner(nProviders))
+      .keyBy(r => index(r.getAs[Int](Clustering.ProviderCol)))
+      .partitionBy(new HashPartitioner(providerIds.size))
       .values
     spark.createDataFrame(byProvider, assigned.schema)
       .sortWithinPartitions(Clustering.ClusterCol)

@@ -17,12 +17,13 @@ import repro.attack.NbcAttack
   * (DESIGN.md §5). Bench suites call them at laptop scale; `jobs/` mains
   * expose them to spark-submit with caller-chosen scale.
   *
-  * Measurement split: wall-clock **speed-ups** come from parquet-backed
-  * Spark runs (one per query, after a warm-up exact pass); **error and
-  * noise** statistics average several repetitions of the identical protocol
-  * on the in-memory replay, so DP-noise variance is integrated out without
-  * paying a Spark job per repetition (the paper averages m = 100 queries on
-  * a cluster instead).
+  * Measurement split, the same for every figure point: wall-clock
+  * **speed-ups** come from parquet-backed Spark runs (one per query, after
+  * two warm-up runs of each code path); **error and noise** statistics
+  * average several repetitions of the identical protocol on the in-memory
+  * replay, so DP-noise variance is integrated out without paying a Spark
+  * job per repetition (the paper averages m = 100 queries on a cluster
+  * instead).
   */
 object Tables {
 
@@ -66,46 +67,53 @@ object Tables {
     case Agg.SumMeasure => "SUM"
   }
 
-  /** Exact scan timed twice; the first run warms caches and codegen, the
-    * second is the reported baseline.
-    */
-  private def exactTimed(fed: Federation, q: RangeQuery): (Double, Double) = {
-    fed.exactWithTime(q)
-    fed.exactWithTime(q)
-  }
-
   private def median(xs: Seq[Double]): Double = {
     val s = xs.sorted
     if (s.size % 2 == 1) s(s.size / 2) else (s(s.size / 2 - 1) + s(s.size / 2)) / 2
   }
+
+  private def mean(xs: Seq[Double]): Double = xs.sum / xs.size
+
+  /** One measured point of a figure: a query workload and the protocol
+    * settings it runs at.
+    */
+  private final case class Point(qs: Seq[RangeQuery], sr: Double, eps: Double,
+                                 useSmc: Boolean, seed: Long)
 
   /** Median wall-clock speed-up: one Spark run per query, with the exact
     * baseline re-measured adjacent to each approximate run (stale baselines
     * drift under GC/page-cache churn), after two unmeasured warm-up runs of
     * each code path.
     */
-  private def timeWorkload(fed: Federation, qs: Seq[RangeQuery], sr: Double,
-                           eps: Double, seed: Long): Double = {
-    qs.take(2).foreach { q =>
-      fed.run(q, sr, eps, useSmc = false, seed = seed - 7, exactBaseline = Some((0.0, 0.0)))
+  private def timeWorkload(fed: Federation, p: Point): Double = {
+    for (w <- 0 until 2) {
+      val q = p.qs(w % p.qs.size)
+      fed.run(q, p.sr, p.eps, p.useSmc, seed = p.seed - 7, exactBaseline = Some((0.0, 0.0)))
       fed.exactWithTime(q)
     }
-    median(qs.zipWithIndex.map { case (q, i) =>
-      fed.run(q, sr, eps, useSmc = false, seed = seed + i).speedup
+    median(p.qs.zipWithIndex.map { case (q, i) =>
+      fed.run(q, p.sr, p.eps, p.useSmc, seed = p.seed + i).speedup
     })
   }
 
-  /** Mean relative error over [[ErrReps]] in-memory protocol repetitions
-    * per query (identical math to the Spark runs; noise variance averaged
-    * out without a Spark job per repetition).
+  /** [[ErrReps]] in-memory protocol repetitions per query (identical math
+    * to the Spark runs; noise variance averaged out without a Spark job per
+    * repetition), against the in-memory exact answers.
     */
-  private def errWorkload(ctx: Context, qs: Seq[RangeQuery], sr: Double,
-                          eps: Double, seed: Long): Double = {
-    val errs = for ((q, i) <- qs.zipWithIndex; r <- 0 until ErrReps) yield {
-      ctx.mem.run(q, sr, eps, useSmc = false, seed = seed * 1000 + i * 31 + r,
-        exactBaseline = Some((ctx.memExact(q), 0.0))).relativeError
-    }
-    errs.sum / errs.size
+  private def errRuns(ctx: Context, p: Point): Seq[RunResult] =
+    for ((q, i) <- p.qs.zipWithIndex; r <- 0 until ErrReps) yield
+      ctx.mem.run(q, p.sr, p.eps, p.useSmc, seed = p.seed * 1000 + i * 31 + r,
+        exactBaseline = Some((ctx.memExact(q), 0.0)))
+
+  /** Each point's median speed-up and its error repetitions. The timing
+    * pass runs for every point first and the error passes after: the
+    * in-memory error replay churns hundreds of MB and would pollute later
+    * timings.
+    */
+  private def measure(ctx: Context, points: Seq[Point]): Seq[(Double, Seq[RunResult])] = {
+    ctx.mem // hoist the big in-memory collect out of the timed region
+    val sps = points.map(timeWorkload(ctx.setup.federation, _))
+    sps.zip(points.map(errRuns(ctx, _)))
   }
 
   // ----------------------------------------------------------------------
@@ -195,10 +203,7 @@ object Tables {
     * ε = 1 and sr = `series.sr`.
     */
   def sweep(ctx: Context, series: Series, axis: Axis, m: Int, seed: Long): Seq[SweepRow] = {
-    final case class Point(x: Double, agg: Agg, sr: Double, eps: Double, runSeed: Long,
-                           qs: Seq[RangeQuery])
     val fed = ctx.setup.federation
-    ctx.mem // hoist the big in-memory collect out of the timed region
     val points = for (x <- series.xs; agg <- Seq(Agg.Count, Agg.SumMeasure)) yield {
       val (n, sr, eps, key) = axis match {
         case Axis.N   => (x.toInt, series.sr, 1.0, x.toLong)
@@ -207,15 +212,11 @@ object Tables {
       }
       // the n axis draws one workload per n, the others one per aggregation
       val workloadSeed = if (axis == Axis.N) seed + n else seed + (if (agg == Agg.Count) 0 else 1)
-      Point(x, agg, sr, eps, seed * 100 + key,
-        Datasets.qualifyingWorkload(fed, series.dims, m, n, agg, workloadSeed))
+      val qs = Datasets.qualifyingWorkload(fed, series.dims, m, n, agg, workloadSeed)
+      (x, agg, Point(qs, sr, eps, useSmc = false, seed * 100 + key))
     }
-    // timing pass for every point first, error passes after — the in-memory
-    // error replay churns hundreds of MB and would pollute later timings
-    val sps = points.map(p => timeWorkload(fed, p.qs, p.sr, p.eps, p.runSeed))
-    points.zip(sps).map { case (p, sp) =>
-      SweepRow(series.dataset, p.x, aggName(p.agg),
-        errWorkload(ctx, p.qs, p.sr, p.eps, p.runSeed), sp)
+    points.zip(measure(ctx, points.map(_._3))).map { case ((x, agg, _), (sp, runs)) =>
+      SweepRow(series.dataset, x, aggName(agg), mean(runs.map(_.relativeError)), sp)
     }
   }
 
@@ -237,27 +238,22 @@ object Tables {
   private val F8Seed = 37L
 
   /** SMC vs DP release (§6.5): [[F8Queries]] two-dimensional COUNT queries
-    * on the Adult-like federation `ctx`, each repeated `iters` times with
-    * and without SMC; reports the realized |noise| range (in-memory
-    * repetitions), error, and speed-up (Spark).
+    * on the Adult-like federation `ctx`, each one point per release mode,
+    * measured as the sweep's points are: the realized |noise| range and
+    * mean error over the [[ErrReps]] in-memory repetitions, and the Spark
+    * speed-up. Both modes of a query share its seed, so they sample the
+    * same clusters and differ only in the release.
     */
-  def smcVsDp(ctx: Context, iters: Int = 5): Seq[SmcRow] = {
-    val fed = ctx.setup.federation
-    val mem = ctx.mem
-    val qs = Datasets.qualifyingWorkload(fed, Datasets.adultDims, F8Queries, 2, Agg.Count, F8Seed)
-    (for ((q, qi) <- qs.zipWithIndex; smc <- Seq(false, true)) yield {
-      val exact = exactTimed(fed, q)
-      val sp = (0 until 2).map(it =>
-        fed.run(q, F8Sr, F8Eps, useSmc = smc, seed = F8Seed + qi * 1000 + it,
-          exactBaseline = Some(exact)).speedup).sum / 2
-      val reps = (0 until iters).map(it =>
-        mem.run(q, F8Sr, F8Eps, useSmc = smc,
-          seed = F8Seed + qi * 1000 + it * 10 + (if (smc) 1 else 0),
-          exactBaseline = Some((exact._1, 0.0))))
-      SmcRow(qi, if (smc) "SMC" else "DP",
-        reps.map(r => math.abs(r.noise)).min, reps.map(r => math.abs(r.noise)).max,
-        reps.map(_.relativeError).sum / iters, sp)
-    })
+  def smcVsDp(ctx: Context): Seq[SmcRow] = {
+    val qs = Datasets.qualifyingWorkload(ctx.setup.federation, Datasets.adultDims, F8Queries, 2,
+      Agg.Count, F8Seed)
+    val points = for ((q, qi) <- qs.zipWithIndex; smc <- Seq(false, true))
+      yield (qi, Point(Seq(q), F8Sr, F8Eps, smc, F8Seed * 100 + qi))
+    points.zip(measure(ctx, points.map(_._2))).map { case ((qi, p), (sp, runs)) =>
+      val noise = runs.map(r => math.abs(r.noise))
+      SmcRow(qi, if (p.useSmc) "SMC" else "DP", noise.min, noise.max,
+        mean(runs.map(_.relativeError)), sp)
+    }
   }
 
   // ----------------------------------------------------------------------

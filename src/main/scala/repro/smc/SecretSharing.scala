@@ -47,16 +47,19 @@ object SecretSharing {
     decode(reconstruct(partialSums))
   }
 
-  /** Secure maximum via a masked tournament: parties agree on a random
-    * additive mask, compare masked differences pairwise, and only the
-    * winning value is opened. (A full MPC max would use secure comparison
-    * gates; the observable output — the max — is identical, which is what
-    * the aggregator needs to calibrate the single noise draw.)
+  /** Maximum of the parties' values, an emulation of a secure maximum: it
+    * compares the plaintext values pairwise. Each comparison multiplies
+    * the difference by a random positive factor, which never changes its
+    * sign, so nothing is hidden; the factors are still drawn because the
+    * release noise drawn after this call comes from the same `rng`, so
+    * every SMC answer depends on them. Its output — the max — is what a
+    * real MPC max over shares, with secure comparison gates (not
+    * implemented; ROADMAP item 2), would open, and it is what the
+    * aggregator needs to calibrate the single noise draw.
     */
   def secureMax(values: Seq[Double], rng: Random): Double = {
     require(values.nonEmpty)
     values.reduce { (a, b) =>
-      // compare (a - b) under a shared multiplicative sign-preserving mask
       val mask = math.abs(rng.nextDouble()) + 0.5
       if ((a - b) * mask >= 0) a else b
     }

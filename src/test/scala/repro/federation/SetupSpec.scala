@@ -165,6 +165,17 @@ class SetupSpec extends SparkSpec {
     }
   }
 
+  test("the parquet store gets no empty file when provider 0 receives no rows") {
+    import spark.implicits._
+    val setup = Setup.build(spark, Seq((3, 5)).toDF("x", "y"), Seq("x", "y"), nProviders = 4,
+      clusterFrac = 0.5, FedConfig(nMin = 4), Storage.Parquet(), seed = 1L)
+    assert(setup.metas.size == 1 && setup.metas.head.providerId != 0,
+      s"seed 1 should send the row past provider 0: ${setup.metas.map(_.providerId)}")
+    val files = storeDir(setup).toFile.listFiles().filter(_.getName.endsWith(".parquet"))
+    assert(files.length == 1, files.map(_.getName).mkString(", "))
+    assert(setup.eval.exactTotal(RangeQuery(Agg.Count, Seq(DimRange("x", 3, 3)))) == 1.0)
+  }
+
   /** The directory `s`'s parquet store was read from. */
   private def storeDir(s: FederationSetup): Path =
     Path.of(new java.net.URI(s.clustered.inputFiles.head)).getParent

@@ -40,4 +40,12 @@ class TablesSpec extends SparkSpec {
       assert(rows.forall(r => r.avgRelErr.isFinite && r.avgSpeedup.isFinite), s"$axis: $rows")
     }
   }
+
+  test("Figure 8 yields a finite DP and SMC row for each query") {
+    val rows = Tables.smcVsDp(new Tables.Context(TestFixtures.adultSmall))
+    assert(rows.size == 10)
+    assert(rows.groupBy(_.queryId).values.forall(_.map(_.mode).sorted == Seq("DP", "SMC")), s"$rows")
+    assert(rows.forall(r => r.avgRelErr.isFinite && r.avgSpeedup.isFinite), s"$rows")
+    assert(rows.forall(r => r.noiseAbsMin <= r.noiseAbsMax), s"$rows")
+  }
 }
