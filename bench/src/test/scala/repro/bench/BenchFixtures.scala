@@ -8,9 +8,10 @@ import repro.harness.Tables
   *
   * Scale (DESIGN.md §4/§5): the paper ran 4M-row Adult and 924M-row Amazon
   * Review on a 5-server Grid5000 cluster; these benches run SF-scaled
-  * versions (~150k / ~600k raw rows) on one box with parquet-backed
-  * clusters, preserving Amazon ≫ Adult. Override with REPRO_BENCH_ADULT /
-  * REPRO_BENCH_AMAZON / REPRO_BENCH_M.
+  * versions (`Tables.AdultRows` = 1.6M / `Tables.AmazonRows` = 24M raw
+  * rows) on one box with parquet-backed clusters, preserving Amazon ≫
+  * Adult. Override with REPRO_BENCH_ADULT / REPRO_BENCH_AMAZON /
+  * REPRO_BENCH_M.
   */
 object BenchFixtures {
   private def env(name: String, default: Long): Long =

@@ -51,6 +51,15 @@ object ClusterEval {
 
   private[core] def keysOf(sampled: Map[Int, Seq[Int]]): Seq[(Int, Int)] =
     for ((p, cs) <- sampled.toSeq; c <- cs) yield (p, c)
+
+  /** The columns the block and in-memory evaluators load from a clustered
+    * federated DataFrame, in this order: provider and cluster as `Int`,
+    * each of `dims` as `Int`, then the measure as `Long`.
+    */
+  private[core] def loadColumns(df: DataFrame, dims: Seq[String]): DataFrame =
+    df.select(
+      (Seq(col(Clustering.ProviderCol).cast("int"), col(Clustering.ClusterCol).cast("int")) ++
+        dims.map(d => col(d).cast("int")) :+ col(Tensor.MeasureCol).cast("long")): _*)
 }
 
 /** DataFrame-backed evaluation, one stage per query. `df` must carry
@@ -182,10 +191,7 @@ object BlockClusterEval {
     */
   def fromDataFrame(df: DataFrame, dims: Seq[String]): BlockClusterEval = {
     val nDims = dims.size
-    val blocks = df
-      .select(
-        (Seq(col(Clustering.ProviderCol).cast("int"), col(Clustering.ClusterCol).cast("int")) ++
-          dims.map(d => col(d).cast("int")) :+ col(Tensor.MeasureCol).cast("long")): _*)
+    val blocks = ClusterEval.loadColumns(df, dims)
       .rdd
       .mapPartitions(rows => group(rows, nDims))
       .persist(StorageLevel.MEMORY_ONLY)
@@ -210,12 +216,14 @@ object BlockClusterEval {
   }
 }
 
-/** Driver-side replay of the same semantics over collected rows.
-  * Build it once from the clustered federated DataFrame; every subsequent
-  * query is a pure in-memory scan (no Spark job).
+/** Driver-side replay of the same semantics over collected rows, kept
+  * sorted by `(provider, cluster)` so that each cluster's rows are one span
+  * `[from, until)` of the arrays. Build it once from the clustered federated
+  * DataFrame; every subsequent query is a pure in-memory scan (no Spark
+  * job), and `perCluster` reads only the spans of the requested clusters.
   */
 final class InMemoryClusterEval private (
-    providers: Array[Int], clusters: Array[Int],
+    spans: Map[(Int, Int), (Int, Int)],
     dimCols: Array[String], dimValues: Array[Array[Int]], measures: Array[Long])
     extends ClusterEval {
 
@@ -239,70 +247,43 @@ final class InMemoryClusterEval private (
       }
       true
     }
-    def contribution(row: Int): Double =
-      if (isCount) 1.0 else measures(row).toDouble
+    /** The query's answer over rows `[from, until)`, exact in `Long`. */
+    def sum(from: Int, until: Int): Double = {
+      var s = 0L; var i = from
+      while (i < until) {
+        if (matches(i)) s += (if (isCount) 1L else measures(i))
+        i += 1
+      }
+      s.toDouble
+    }
   }
 
   override def perCluster(sampled: Map[Int, Seq[Int]], q: RangeQuery): Map[(Int, Int), Double] = {
     val pred = new Pred(q)
-    val maxP = if (providers.isEmpty) 0 else providers.max + 1
-    val wanted = Array.fill[java.util.BitSet](maxP)(null)
-    for ((p, cs) <- sampled if p >= 0 && p < maxP) {
-      val bs = new java.util.BitSet()
-      cs.foreach(bs.set)
-      wanted(p) = bs
-    }
-    val acc = scala.collection.mutable.Map.empty[(Int, Int), Double]
-    for ((p, cs) <- sampled.toSeq; c <- cs) acc((p, c)) = 0.0
-    var i = 0
-    while (i < providers.length) {
-      val p = providers(i)
-      val bs = if (p < maxP) wanted(p) else null
-      if (bs != null && bs.get(clusters(i)) && pred.matches(i)) {
-        val key = (p, clusters(i))
-        acc(key) = acc(key) + pred.contribution(i)
-      }
-      i += 1
-    }
-    acc.toMap
+    ClusterEval.keysOf(sampled).map { k =>
+      k -> spans.get(k).fold(0.0) { case (from, until) => pred.sum(from, until) }
+    }.toMap
   }
 
-  override def exactTotal(q: RangeQuery): Double = {
-    val pred = new Pred(q)
-    var s = 0.0; var i = 0
-    while (i < providers.length) {
-      if (pred.matches(i)) s += pred.contribution(i)
-      i += 1
-    }
-    s
-  }
+  override def exactTotal(q: RangeQuery): Double = new Pred(q).sum(0, measures.length)
 }
 
 object InMemoryClusterEval {
   /** Collect a clustered federated DataFrame (provider_id, cluster_id,
-    * dims..., measure) into driver arrays.
+    * dims..., measure) into driver arrays sorted by `(provider, cluster)`:
+    * the rows of a cluster split across partitions arrive apart.
     */
   def fromDataFrame(df: DataFrame, dims: Seq[String]): InMemoryClusterEval = {
-    val rows = df
-      .select(
-        (Seq(col(Clustering.ProviderCol).cast("int"), col(Clustering.ClusterCol).cast("int")) ++
-          dims.map(d => col(d).cast("int")) :+ col(Tensor.MeasureCol).cast("long")): _*)
-      .collect()
-    val n = rows.length
-    val providers = new Array[Int](n)
-    val clusters  = new Array[Int](n)
-    val dimValues = Array.fill(dims.size)(new Array[Int](n))
-    val measures  = new Array[Long](n)
-    var i = 0
-    while (i < n) {
-      val r = rows(i)
-      providers(i) = r.getInt(0)
-      clusters(i)  = r.getInt(1)
-      var d = 0
-      while (d < dims.size) { dimValues(d)(i) = r.getInt(2 + d); d += 1 }
-      measures(i) = r.getLong(2 + dims.size)
-      i += 1
-    }
-    new InMemoryClusterEval(providers, clusters, dims.toArray, dimValues, measures)
+    def key(r: Row): (Int, Int) = (r.getInt(0), r.getInt(1))
+    val rows = ClusterEval.loadColumns(df, dims).collect().sortBy(key)
+    val spans = Map.newBuilder[(Int, Int), (Int, Int)]
+    var from = 0
+    for (i <- 1 to rows.length)
+      if (i == rows.length || key(rows(i)) != key(rows(from))) {
+        spans += key(rows(from)) -> (from, i)
+        from = i
+      }
+    new InMemoryClusterEval(spans.result(), dims.toArray,
+      Array.tabulate(dims.size)(d => rows.map(_.getInt(2 + d))), rows.map(_.getLong(2 + dims.size)))
   }
 }

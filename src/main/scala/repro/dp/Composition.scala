@@ -40,21 +40,3 @@ object Composition {
   /** Per-query budget for a coalition of single-query attackers. */
   def coalitionPerQuery(xi: Double, psi: Double): Budget = Budget(xi, psi)
 }
-
-/** Running ledger for an analyst's total budget `(ξ, ψ)` (paper §5.4).
-  * `tryConsume` refuses queries whose cost would exceed the remainder.
-  */
-final class BudgetManager(val xi: Double, val psi: Double) {
-  private var spentEps = 0.0
-  private var spentDelta = 0.0
-
-  def remainingEps: Double   = math.max(0.0, xi - spentEps)
-  def remainingDelta: Double = math.max(0.0, psi - spentDelta)
-
-  def tryConsume(eps: Double, delta: Double): Boolean = synchronized {
-    val tol = 1e-9 // fp slack so "spend exactly the remainder" succeeds
-    if (eps <= remainingEps + tol && delta <= remainingDelta + tol) {
-      spentEps += eps; spentDelta += delta; true
-    } else false
-  }
-}

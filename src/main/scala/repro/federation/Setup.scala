@@ -102,6 +102,8 @@ object Setup {
     // 4. materialize
     val clustered = storage match {
       case Storage.Cached =>
+        // kept beside the blocks: serving Algorithm 1's reads from a view over
+        // the blocks gave equal answers but a 43 % slower set-up at 20k rows
         val df = assigned.cache(); df.count(); df
       case Storage.Parquet(dirOpt) =>
         val dir = dirOpt.getOrElse(TempStores.create().toString)

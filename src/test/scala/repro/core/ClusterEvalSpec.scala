@@ -43,10 +43,10 @@ class ClusterEvalSpec extends SparkSpec {
   }
 
   /** 10 random COUNT/SUM queries, each with a random sample of clusters
-    * from a random subset of providers: `block` agrees with the Spark and
-    * in-memory evaluators on `perCluster` and `exactTotal`.
+    * from a random subset of providers: each of `others` agrees with the
+    * Spark and in-memory evaluators on `perCluster` and `exactTotal`.
     */
-  private def agreesOnRandomQueries(block: ClusterEval, seed: Int): Unit = {
+  private def agreesOnRandomQueries(others: Seq[ClusterEval], seed: Int): Unit = {
     val rng = new scala.util.Random(seed)
     for (_ <- 1 to 10) {
       val q = Datasets.randomQuery(Datasets.adultDims, 1 + rng.nextInt(4),
@@ -55,15 +55,15 @@ class ClusterEvalSpec extends SparkSpec {
         m.providerId -> rng.shuffle(m.clusters.map(_.clusterId)).take(1 + rng.nextInt(8))
       }.toMap
       val expected = memEval.perCluster(sampled, q)
-      assert(block.perCluster(sampled, q) == expected, s"query $q, sample $sampled")
-      assert(sparkEval.perCluster(sampled, q) == expected, s"query $q, sample $sampled")
-      assert(block.exactTotal(q) == memEval.exactTotal(q), s"query $q")
-      assert(sparkEval.exactTotal(q) == memEval.exactTotal(q), s"query $q")
+      for (e <- sparkEval +: others) {
+        assert(e.perCluster(sampled, q) == expected, s"$e: query $q, sample $sampled")
+        assert(e.exactTotal(q) == memEval.exactTotal(q), s"$e: query $q")
+      }
     }
   }
 
   test("block evaluation agrees with Spark and in-memory evaluation on random queries") {
-    agreesOnRandomQueries(blockEval, seed = 5)
+    agreesOnRandomQueries(Seq(blockEval), seed = 5)
   }
 
   test("block evaluation agrees when clusters are split across partitions") {
@@ -72,7 +72,9 @@ class ClusterEvalSpec extends SparkSpec {
       .select(col(Clustering.ProviderCol), col(Clustering.ClusterCol), spark_partition_id().as("part"))
       .distinct().groupBy(Clustering.ProviderCol, Clustering.ClusterCol).count()
     assert(partsPerCluster.filter(col("count") > 1).count() > 0, "expected split clusters")
-    agreesOnRandomQueries(BlockClusterEval.fromDataFrame(spread, fed.dims), seed = 6)
+    // the rows of a split cluster reach the in-memory collect apart
+    agreesOnRandomQueries(Seq(BlockClusterEval.fromDataFrame(spread, fed.dims),
+      InMemoryClusterEval.fromDataFrame(spread, fed.dims)), seed = 6)
     spread.unpersist()
   }
 

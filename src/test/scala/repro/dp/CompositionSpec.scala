@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import Composition.Budget
 
-/** Composition theorems and the analyst budget ledger (§5.4, §6.6). */
+/** Composition theorems and the per-query budgets of §6.6. */
 class CompositionSpec extends AnyFunSuite {
 
   test("sequential composition sums budgets (Theorem 3.1)") {
@@ -54,29 +54,6 @@ class CompositionSpec extends AnyFunSuite {
     val per = Composition.sequentialPerQuery(2.0, 1e-3, n)
     val total = Composition.sequential(Seq.fill(n)(per))
     assert(math.abs(total.eps - 2.0) < 1e-9 && math.abs(total.delta - 1e-3) < 1e-12)
-  }
-
-  test("budget manager admits queries until the budget runs out") {
-    val bm = new BudgetManager(1.0, 1e-3)
-    assert(bm.tryConsume(0.4, 1e-4))
-    assert(bm.tryConsume(0.4, 1e-4))
-    assert(!bm.tryConsume(0.4, 1e-4)) // 1.2 > 1.0
-    assert(bm.tryConsume(0.2, 1e-4))  // exactly exhausts eps
-    assert(!bm.tryConsume(0.01, 0))
-  }
-
-  test("budget manager enforces delta independently") {
-    val bm = new BudgetManager(10.0, 1e-4)
-    assert(bm.tryConsume(0.1, 1e-4))
-    assert(!bm.tryConsume(0.1, 1e-5)) // delta exhausted even though eps remains
-    assert(bm.tryConsume(0.1, 0.0))   // zero-delta query still fine
-  }
-
-  test("budget manager tracks remaining budget") {
-    val bm = new BudgetManager(1.0, 1e-3)
-    bm.tryConsume(0.25, 2e-4)
-    assert(math.abs(bm.remainingEps - 0.75) < 1e-12)
-    assert(math.abs(bm.remainingDelta - 8e-4) < 1e-12)
   }
 
   test("negative budgets are rejected") {
