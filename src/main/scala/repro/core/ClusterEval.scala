@@ -1,12 +1,27 @@
 package repro.core
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+import scala.util.Using
 
+import org.apache.hadoop.conf.Configuration
+import org.apache.hadoop.fs.Path
+import org.apache.parquet.HadoopReadOptions
+import org.apache.parquet.column.ColumnReader
+import org.apache.parquet.column.impl.ColumnReadStoreImpl
+import org.apache.parquet.example.DummyRecordConverter
+import org.apache.parquet.filter2.compat.FilterCompat
+import org.apache.parquet.filter2.predicate.{FilterApi, FilterPredicate}
+import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.util.HadoopInputFile
+import org.apache.parquet.schema.{GroupType, MessageType}
+import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
+import org.apache.spark.util.{LongAccumulator, SerializableConfiguration}
 
 /** Physical evaluation of range queries against the clustered, federated
   * tensor. The protocol only ever needs two primitives:
@@ -16,11 +31,12 @@ import org.apache.spark.storage.StorageLevel
   *  - `exactTotal`: the plain-text full-scan answer (the speed-up baseline
   *    and the error ground truth).
   *
-  * Three implementations exist (DESIGN.md §3). [[SparkClusterEval]] runs one
-  * DataFrame stage per query, and over the parquet store page skipping
-  * gives the I/O saving. [[BlockClusterEval]] runs one Spark job over the
-  * cached store's per-cluster blocks, on only the partitions holding sampled
-  * clusters. [[InMemoryClusterEval]] replays the same semantics over arrays
+  * Three implementations exist (DESIGN.md §3). [[ParquetClusterEval]] runs
+  * one Spark job of direct parquet page reads per query, with no SQL
+  * planning, and decodes only the pages of the sampled clusters: the I/O
+  * saving. [[BlockClusterEval]] runs one Spark job over the cached store's
+  * per-cluster blocks, on only the partitions holding sampled clusters.
+  * [[InMemoryClusterEval]] replays the same semantics over arrays
   * collected into the JVM, for statistical tests and the attack bench, which
   * make thousands of protocol runs, and as the independent reference the
   * Spark evaluators are checked against.
@@ -62,59 +78,163 @@ object ClusterEval {
         dims.map(d => col(d).cast("int")) :+ col(Tensor.MeasureCol).cast("long")): _*)
 }
 
-/** DataFrame-backed evaluation, one stage per query. `df` must carry
-  * `provider_id`, `cluster_id`, the dimension columns and `measure`; when it
-  * is read from `Setup.build`'s parquet store (one file per provider, one
-  * page per cluster), the `perCluster` filter is pushed into the parquet
-  * reader, and the pages of unsampled clusters are skipped by their
-  * column-index statistics — page-level cluster sampling: the scan reads
-  * only the sampled clusters' rows, however many are sampled. Neither
-  * primitive shuffles: each task sums its partition's contributions (per
-  * sampled cluster for `perCluster`, in total for `exactTotal`), so the
-  * driver receives at most one sum per key and partition, however many
-  * rows match.
+/** Evaluation over `Setup.build`'s parquet store: one file per provider,
+  * its rows sorted by `cluster_id`, with one page per cluster.
+  *
+  * `perCluster` runs one Spark job with one task per provider that has
+  * sampled clusters, and no SQL analysis or planning. Each task opens its
+  * provider's file with parquet-mr and projects `cluster_id`, the query's
+  * dimensions and `measure`. The `cluster_id` column index then selects the
+  * pages to decode: only those whose [min, max] holds a sampled id, in
+  * every row group. This is page-level cluster sampling, as over the
+  * paper's PostgreSQL pages. The task sums each sampled cluster's decoded
+  * rows with [[BlockClusterEval.Kernel]], so the driver receives one `Long`
+  * per cluster and row group holding it.
+  *
+  * `exactTotal` is the plain-text baseline: a DataFrame full scan of `df`,
+  * summed in each task.
+  *
+  * @param df    the store read back as a DataFrame
+  * @param files each provider's file; a provider without one has no rows
+  * @param conf  the session's Hadoop configuration, for the tasks
   */
-final class SparkClusterEval(val df: DataFrame) extends ClusterEval {
-  import Clustering.{ClusterCol, ProviderCol}
+final class ParquetClusterEval private (df: DataFrame, files: Map[Int, String],
+                                        conf: Broadcast[SerializableConfiguration],
+                                        decoded: LongAccumulator) extends ClusterEval {
+
+  /** Rows the `perCluster` tasks have decoded so far, over every call. */
+  def rowsDecoded: Long = decoded.value
 
   override def perCluster(sampled: Map[Int, Seq[Int]], q: RangeQuery): Map[(Int, Int), Double] = {
     val keys = ClusterEval.keysOf(sampled)
-    if (keys.isEmpty) return Map.empty
-    // Spark hands parquet a longer `isin` list as one IN set, which the
-    // column index tests only by its [min, max], so a provider's list goes
-    // in OR-ed pieces that each stay at or below the threshold
-    val inMax = math.max(1,
-      df.sparkSession.conf.get("spark.sql.parquet.pushdown.inFilterThreshold", "10").toInt)
-    val keyFilter = sampled.toSeq
-      .filter(_._2.nonEmpty)
-      .map { case (p, cs) =>
-        col(ProviderCol) === p && cs.grouped(inMax)
-          .map(g => col(ClusterCol).isin(g.map(Integer.valueOf): _*)).reduce(_ || _)
-      }
-      .reduce(_ || _)
-    val pieces = internalRows(df
-      .filter(keyFilter && q.predicate)
-      .select(col(ProviderCol), col(ClusterCol), q.contribution))
-      .mapPartitions { rows =>
-        val acc = mutable.Map.empty[(Int, Int), Long].withDefaultValue(0L)
-        rows.foreach { r => acc((r.getInt(0), r.getInt(1))) += r.getLong(2) }
-        acc.iterator
-      }
+    val work = sampled.toSeq.collect {
+      case (p, cs) if cs.nonEmpty && files.contains(p) => (p, files(p), cs.toArray)
+    }
+    if (work.isEmpty) return ClusterEval.sumPerKey(keys, Nil)
+    // the task closure captures only these values, not the evaluator
+    val dims = q.ranges.map(_.dim)
+    val k = BlockClusterEval.Kernel(dims.indices.toArray,
+      q.ranges.map(_.lb).toArray, q.ranges.map(_.ub).toArray, q.agg == Agg.Count)
+    val (c, acc) = (conf, decoded)
+    val got = df.sparkSession.sparkContext.parallelize(work, work.size)
+      .flatMap { case (p, path, cs) => ParquetClusterEval.scan(p, path, cs, dims, k, c.value.value, acc) }
       .collect()
-    ClusterEval.sumPerKey(keys, pieces)
+    ClusterEval.sumPerKey(keys, got)
   }
 
+  /** Reads the plan's internal rows: `Dataset.rdd` would plan the query a
+    * second time and convert each row to a `Row`.
+    */
   override def exactTotal(q: RangeQuery): Double =
-    internalRows(df.filter(q.predicate).select(q.contribution))
+    df.filter(q.predicate).select(q.contribution).queryExecution.toRdd
       .mapPartitions(rows => Iterator.single(rows.map(_.getLong(0)).sum))
       .collect().sum.toDouble
+}
 
-  /** The rows of `plan` as Spark's internal rows: `Dataset.rdd` would plan
-    * the query a second time and convert each row to a `Row`, about a sixth
-    * of a `perCluster` call at 100k rows. The tasks read each row before
-    * the next one replaces it.
+object ParquetClusterEval {
+  import Clustering.{ClusterCol, ProviderCol}
+
+  /** The evaluator over `df`, a store of one parquet file per provider.
+    * Each file's provider id is read from its footer: the statistics of
+    * its `provider_id` column chunks, which must all hold one value.
     */
-  private def internalRows(plan: DataFrame): RDD[InternalRow] = plan.queryExecution.toRdd
+  def fromStore(df: DataFrame): ParquetClusterEval = {
+    val sc = df.sparkSession.sparkContext
+    val conf = sc.hadoopConfiguration
+    val files = df.inputFiles.toSeq.map { f =>
+      val path = new Path(f)
+      // without Hadoop options, parquet-mr builds a fresh Configuration: ~7 ms a file
+      val footer = Using.resource(ParquetFileReader.open(HadoopInputFile.fromPath(path, conf),
+        HadoopReadOptions.builder(conf, path).build()))(_.getFooter)
+      val chunks = footer.getBlocks.asScala
+        .flatMap(_.getColumns.asScala.filter(_.getPath.toDotString == ProviderCol))
+      val ids = chunks.flatMap(c => Seq[Any](c.getStatistics.genericGetMin, c.getStatistics.genericGetMax))
+        .distinct
+      require(ids.size == 1, s"$f: expected one $ProviderCol, found ${ids.mkString(", ")}")
+      ids.head.asInstanceOf[Integer].intValue -> f
+    }
+    require(files.map(_._1).distinct.size == files.size,
+      s"one file per provider expected: ${files.mkString(", ")}")
+    new ParquetClusterEval(df, files.toMap, sc.broadcast(new SerializableConfiguration(conf)),
+      sc.longAccumulator("parquet rows decoded"))
+  }
+
+  /** One provider's task: decode the pages of `path` that may hold a
+    * cluster in `clusters`, and sum the query's kernel over each of those
+    * clusters' rows, per row group. `dims` are the kernel's columns.
+    */
+  private def scan(provider: Int, path: String, clusters: Array[Int], dims: Seq[String],
+                   k: BlockClusterEval.Kernel, conf: Configuration,
+                   decoded: LongAccumulator): Seq[((Int, Int), Long)] = {
+    val want = clusters.toSet
+    val file = new Path(path)
+    val opts = HadoopReadOptions.builder(conf, file)
+      .withRecordFilter(FilterCompat.get(anyOf(clusters)))
+      .useColumnIndexFilter(true)
+      // these would read more to drop whole row groups, not pages
+      .useDictionaryFilter(false)
+      .useBloomFilter(false)
+      .build()
+    val out = mutable.ArrayBuffer.empty[((Int, Int), Long)]
+    Using.resource(ParquetFileReader.open(HadoopInputFile.fromPath(file, conf), opts)) { reader =>
+      val meta = reader.getFooter.getFileMetaData
+      val schema: GroupType = meta.getSchema // for its one-name `getType`
+      val projection = new MessageType(schema.getName,
+        (ClusterCol +: dims :+ Tensor.MeasureCol).map(c => schema.getType(c)): _*)
+      reader.setRequestedSchema(projection)
+      val root = new DummyRecordConverter(projection).getRootConverter
+      var rowGroup = reader.readNextFilteredRowGroup()
+      while (rowGroup != null) {
+        // the rows of the selected pages, in file order
+        val n = Math.toIntExact(rowGroup.getRowCount)
+        val store = new ColumnReadStoreImpl(rowGroup, root, projection, meta.getCreatedBy)
+        val cols = projection.getColumns.asScala.map(c => values(store.getColumnReader(c), n))
+        val ids = cols.head
+        var from = 0
+        while (from < n) {
+          var until = from + 1
+          while (until < n && ids(until) == ids(from)) until += 1
+          val c = Math.toIntExact(ids(from))
+          if (want(c)) {
+            val b = BlockClusterEval.Block(provider, c,
+              cols.slice(1, 1 + dims.size).map(_.slice(from, until).map(Math.toIntExact)).toArray,
+              cols.last.slice(from, until))
+            out += (provider, c) -> k.total(b)
+          }
+          from = until
+        }
+        decoded.add(n)
+        rowGroup = reader.readNextFilteredRowGroup()
+      }
+    }
+    out.toSeq
+  }
+
+  /** `cluster_id` equals one of `ids` (not empty), as a balanced tree of
+    * `eq`s: parquet's column index tests an `in` set only by its [min, max],
+    * so it would keep every page between two sampled clusters.
+    */
+  private def anyOf(ids: Array[Int]): FilterPredicate =
+    if (ids.size == 1) FilterApi.eq(FilterApi.intColumn(ClusterCol), Integer.valueOf(ids.head))
+    else {
+      val (a, b) = ids.splitAt(ids.size / 2)
+      FilterApi.or(anyOf(a), anyOf(b))
+    }
+
+  /** The next `n` values of an `INT32` or `INT64` column without nulls. */
+  private def values(r: ColumnReader, n: Int): Array[Long] = {
+    val d = r.getDescriptor
+    val int32 = d.getPrimitiveType.getPrimitiveTypeName == PrimitiveTypeName.INT32
+    val out = new Array[Long](n)
+    var i = 0
+    while (i < n) {
+      require(r.getCurrentDefinitionLevel == d.getMaxDefinitionLevel, s"null in ${d.getPath.mkString(".")}")
+      out(i) = if (int32) r.getInteger.toLong else r.getLong
+      r.consume()
+      i += 1
+    }
+    out
+  }
 }
 
 /** Evaluation over per-cluster column blocks kept in Spark's memory: each

@@ -17,11 +17,11 @@ import repro.core._
   *
   *  - [[Storage.Parquet]]: one parquet file per provider, its rows sorted
   *    by `cluster_id` with one page per cluster, read back;
-  *    [[repro.core.SparkClusterEval]]'s sampled-cluster scans skip the
-  *    pages of unsampled clusters by their column-index statistics (real
-  *    I/O saving — used by the paper-figure benches). Without a `dir`, the
-  *    store goes to a fresh temporary directory that is deleted when the
-  *    JVM exits; a given `dir` is never deleted;
+  *    [[repro.core.ParquetClusterEval]]'s sampled-cluster scans decode
+  *    only the pages of the sampled clusters, chosen by their column-index
+  *    statistics (real I/O saving — used by the paper-figure benches).
+  *    Without a `dir`, the store goes to a fresh temporary directory that
+  *    is deleted when the JVM exits; a given `dir` is never deleted;
   *  - [[Storage.Cached]]: kept as a cached DataFrame, plus per-cluster
   *    column blocks in Spark's memory that [[repro.core.BlockClusterEval]]
   *    scans, reading only the partitions that hold sampled clusters (fast
@@ -119,7 +119,7 @@ object Setup {
 
     val eval = storage match {
       case Storage.Cached     => BlockClusterEval.fromDataFrame(clustered, dims)
-      case _: Storage.Parquet => new SparkClusterEval(clustered)
+      case _: Storage.Parquet => ParquetClusterEval.fromStore(clustered)
     }
     FederationSetup(new Federation(metas, eval, cfg), eval, clustered, dims, S, metas)
   }

@@ -1,19 +1,34 @@
 package repro.core
 
+import java.nio.file.Files
+
+import scala.jdk.CollectionConverters._
+import scala.util.Using
+
+import org.apache.commons.io.FileUtils
+import org.apache.hadoop.fs.Path
+import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.metadata.BlockMetaData
+import org.apache.parquet.hadoop.util.HadoopInputFile
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.data.Datasets
 import repro.federation.{Setup, Storage}
 
-/** Physical per-cluster evaluation: the DataFrame (over the cached and the
-  * parquet store), block and in-memory implementations agree with each
-  * other, with brute force, and with the DuckDB oracle.
+/** Physical per-cluster evaluation: the parquet page reader, block and
+  * in-memory implementations agree with each other, with brute force, and
+  * with the DuckDB oracle.
   */
 class ClusterEvalSpec extends SparkSpec {
 
   private lazy val fed = TestFixtures.adultSmall
-  private lazy val sparkEval = new SparkClusterEval(fed.clustered)
+  /** The same federation as `fed`, stored as parquet. */
+  private lazy val parquetFed = Setup.build(spark, Datasets.adultRaw(spark, 20000, seed = 11L),
+    Datasets.adultDims.map(_.name), nProviders = 4, clusterFrac = 0.01, TestFixtures.cfg,
+    Storage.Parquet(), seed = 42L, skewProviders = true)
+  /** The parquet page reader over `fed`'s rows. */
+  private lazy val sparkEval = parquetFed.eval
   private lazy val memEval = InMemoryClusterEval.fromDataFrame(fed.clustered, fed.dims)
   private lazy val blockEval = BlockClusterEval.fromDataFrame(fed.clustered, fed.dims)
   private def evals: Seq[ClusterEval] = Seq(sparkEval, memEval, blockEval)
@@ -78,14 +93,9 @@ class ClusterEvalSpec extends SparkSpec {
     spread.unpersist()
   }
 
-  /** The same federation as `fed`, stored as parquet. */
-  private lazy val parquetFed = Setup.build(spark, Datasets.adultRaw(spark, 20000, seed = 11L),
-    Datasets.adultDims.map(_.name), nProviders = 4, clusterFrac = 0.01, TestFixtures.cfg,
-    Storage.Parquet(), seed = 42L, skewProviders = true)
-
   test("parquet evaluation agrees with in-memory and DuckDB on random queries") {
     val pq = parquetFed
-    assert(pq.eval.isInstanceOf[SparkClusterEval])
+    assert(pq.eval.isInstanceOf[ParquetClusterEval])
     val mem = InMemoryClusterEval.fromDataFrame(pq.clustered, pq.dims)
     val rng = new scala.util.Random(7)
     // providers draw from one pool of ids, so they often sample the same id;
@@ -131,8 +141,10 @@ class ClusterEvalSpec extends SparkSpec {
   test("perCluster reports 0 for sampled clusters with no matching rows") {
     // a query matching nothing: age below the domain
     val qNone = RangeQuery(Agg.Count, Seq(DimRange("age", 1, 5)))
-    for (e <- evals)
+    for (e <- evals) {
       assert(e.perCluster(Map(0 -> Seq(0, 1)), qNone) == Map((0, 0) -> 0.0, (0, 1) -> 0.0), e)
+      assert(e.exactTotal(qNone) == 0.0, e)
+    }
   }
 
   test("perCluster reports 0 for requested clusters that do not exist") {
@@ -158,5 +170,68 @@ class ClusterEvalSpec extends SparkSpec {
     assert(memEval.perCluster(covering, q2).values.sum == memEval.exactTotal(q2))
     assert(sparkEval.perCluster(covering, q2).values.sum == sparkEval.exactTotal(q2))
     assert(blockEval.perCluster(covering, q2).values.sum == blockEval.exactTotal(q2))
+  }
+
+  test("page reads agree with in-memory evaluation when clusters straddle pages and row groups") {
+    // `fed`'s rows, one sorted file per provider, in row groups of a few
+    // dozen rows and plain-encoded pages of at most 64 bytes and 12 rows
+    // (below S): 12 rows of each INT32 column, 8 of the INT64 measure
+    val pageRows = 12
+    assert(fed.S > 2 * pageRows, s"S = ${fed.S}")
+    val dir = Files.createTempDirectory("repro-pages-")
+    for (m <- fed.metas)
+      fed.clustered.filter(col(Clustering.ProviderCol) === m.providerId).coalesce(1)
+        .sortWithinPartitions(Clustering.ClusterCol)
+        .write.mode("append")
+        .option("parquet.block.size", 1024L)
+        .option("parquet.block.size.row.check.min", 10L)
+        .option("parquet.block.size.row.check.max", 10L)
+        .option("parquet.enable.dictionary", false)
+        .option("parquet.page.size", 64L)
+        .option("parquet.page.row.count.limit", pageRows.toLong)
+        .option("parquet.page.size.row.check.min", 1L)
+        .option("parquet.page.size.row.check.max", 1L)
+        .parquet(dir.toString)
+    val store = spark.read.parquet(dir.toString)
+    val conf = spark.sparkContext.hadoopConfiguration
+    for (f <- store.inputFiles)
+      Using.resource(ParquetFileReader.open(HadoopInputFile.fromPath(new Path(f), conf))) { r =>
+        val groups = r.getFooter.getBlocks.asScala.toSeq
+        def chunk(g: BlockMetaData, c: String) = g.getColumns.asScala.find(_.getPath.toDotString == c).get
+        val ids = groups.map(g => chunk(g, Clustering.ClusterCol).getStatistics)
+        assert(ids.sliding(2).exists { case Seq(a, b) => a.genericGetMax == b.genericGetMin },
+          s"$f: no cluster straddles two of its ${groups.size} row groups")
+        def pageStarts(c: String) = groups.map { g =>
+          val index = r.readOffsetIndex(chunk(g, c))
+          (0 until index.getPageCount).map(index.getFirstRowIndex)
+        }
+        assert(pageStarts(Clustering.ClusterCol) != pageStarts(Tensor.MeasureCol),
+          s"$f: ${Clustering.ClusterCol} and ${Tensor.MeasureCol} pages start at the same rows")
+      }
+    val eval = ParquetClusterEval.fromStore(store)
+    val nRows = fed.metas.flatMap(m => m.clusters.map(c => (m.providerId, c.clusterId) -> c.nRows)).toMap
+    val rng = new scala.util.Random(8)
+    // provider 9 has no file, cluster 100000 does not exist, and the first
+    // random sample lists more than 10 ids for every provider
+    val samples = Map.empty[Int, Seq[Int]] +: Map(0 -> Seq.empty[Int], 9 -> Seq(0)) +:
+      Seq.tabulate(10) { i =>
+        fed.metas.filter(_ => i == 0 || rng.nextDouble() < 0.8).map { m =>
+          m.providerId -> (100000 +: rng.shuffle(m.clusters.map(_.clusterId))
+            .take(if (i == 0) 11 + rng.nextInt(6) else 1 + rng.nextInt(16)))
+        }.toMap
+      }
+    for (sampled <- samples) {
+      val q = Datasets.randomQuery(Datasets.adultDims, 1 + rng.nextInt(4),
+        if (rng.nextBoolean()) Agg.Count else Agg.SumMeasure, rng)
+      val before = eval.rowsDecoded
+      assert(eval.perCluster(sampled, q) == memEval.perCluster(sampled, q), s"query $q, sample $sampled")
+      // a sampled cluster's pages hold at most pageRows - 1 rows of other
+      // clusters at each end
+      val keys = ClusterEval.keysOf(sampled).flatMap(nRows.get)
+      val read = eval.rowsDecoded - before
+      assert(read >= keys.sum && read <= keys.map(_ + 2 * (pageRows - 1)).sum, s"read $read rows")
+      assert(eval.exactTotal(q) == memEval.exactTotal(q), s"query $q")
+    }
+    FileUtils.deleteDirectory(dir.toFile)
   }
 }

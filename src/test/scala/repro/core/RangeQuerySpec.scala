@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.functions.sum
+import org.apache.spark.sql.functions.{lit, sum}
 
 import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.data.Datasets
@@ -15,7 +15,11 @@ class RangeQuerySpec extends SparkSpec {
     val t = Tensor.fromRows(raw, Datasets.adultDims.map(_.name)).cache()
     t.count(); t
   }
-  private def exact(q: RangeQuery): Double = new SparkClusterEval(tensor).exactTotal(q)
+  /** The tensor as one cluster of one provider, scanned by a Spark evaluator. */
+  private lazy val eval = BlockClusterEval.fromDataFrame(
+    tensor.withColumn(Clustering.ProviderCol, lit(0)).withColumn(Clustering.ClusterCol, lit(0)),
+    Datasets.adultDims.map(_.name))
+  private def exact(q: RangeQuery): Double = eval.exactTotal(q)
 
   test("COUNT range query matches DuckDB oracle") {
     val q = RangeQuery(Agg.Count, Seq(DimRange("age", 20, 40), DimRange("edu", 5, 12)))

@@ -2,15 +2,12 @@ package repro.federation
 
 import java.nio.file.Path
 
-import scala.collection.mutable
-
 import org.apache.commons.io.FileUtils
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestFixtures}
-import repro.core.{Agg, BlockClusterEval, Clustering, DimRange, InMemoryClusterEval, RangeQuery,
-  SparkClusterEval, Tensor}
+import repro.core.{Agg, BlockClusterEval, Clustering, DimRange, InMemoryClusterEval,
+  ParquetClusterEval, RangeQuery, Tensor}
 import repro.data.Datasets
 
 /** Offline-phase dataflow: provider split, tensor construction, common
@@ -79,7 +76,7 @@ class SetupSpec extends SparkSpec {
     assert(setup.clustered.count() == cached.clustered.count())
     assert(setup.S == cached.S)
     // each store is scanned by its own evaluator
-    assert(setup.eval.isInstanceOf[SparkClusterEval])
+    assert(setup.eval.isInstanceOf[ParquetClusterEval])
     assert(cached.eval.isInstanceOf[BlockClusterEval])
     // same content regardless of storage
     val a = setup.clustered.select(setup.clustered.columns.sorted.map(col): _*)
@@ -108,18 +105,23 @@ class SetupSpec extends SparkSpec {
     assert(providersPerFile.flatten.sorted == Seq(0, 1, 2, 3))
 
     // a query matching every row, over one middle cluster of one provider
+    val eval = setup.eval.asInstanceOf[ParquetClusterEval]
+    def withRowsDecoded[A](body: => A): (A, Long) = {
+      val before = eval.rowsDecoded
+      val result = body
+      (result, eval.rowsDecoded - before)
+    }
     val all = RangeQuery(Agg.Count, Seq(DimRange("age", 17, 90)))
     val cluster = setup.metas(1).clusters(1)
-    val (answer, read) = withRecordsRead(setup.eval.perCluster(Map(1 -> Seq(cluster.clusterId)), all))
+    val (answer, read) = withRowsDecoded(eval.perCluster(Map(1 -> Seq(cluster.clusterId)), all))
     assert(answer == Map((1, cluster.clusterId) -> cluster.nRows.toDouble))
     assert(read >= cluster.nRows && read <= 2L * setup.S, s"read $read records, S = ${setup.S}")
 
-    // more clusters than Spark pushes as an exact list, spread over the
-    // provider: only the sampled clusters' pages are read
+    // more than 10 clusters, spread over the provider: only the sampled
+    // clusters' pages are read
     val spread = setup.metas(1).clusters.grouped(3).map(_.head).take(12).toSeq
     assert(spread.size == 12)
-    val (answers, readMany) = withRecordsRead(
-      setup.eval.perCluster(Map(1 -> spread.map(_.clusterId)), all))
+    val (answers, readMany) = withRowsDecoded(eval.perCluster(Map(1 -> spread.map(_.clusterId)), all))
     assert(answers == spread.map(c => (1, c.clusterId) -> c.nRows.toDouble).toMap)
     assert(readMany == spread.map(_.nRows).sum, s"read $readMany records")
   }
@@ -179,45 +181,6 @@ class SetupSpec extends SparkSpec {
   /** The directory `s`'s parquet store was read from. */
   private def storeDir(s: FederationSetup): Path =
     Path.of(new java.net.URI(s.clustered.inputFiles.head)).getParent
-
-  /** `body`'s result and the input records read by the Spark jobs it runs:
-    * a listener sums the tasks' `inputMetrics.recordsRead` over the jobs
-    * started under a tag, and a marker job run afterwards shows every
-    * earlier event was handled (the listener bus delivers events in order).
-    */
-  private def withRecordsRead[A](body: => A): (A, Long) = {
-    val sc = spark.sparkContext
-    val key = "repro.test.tag"
-    val counter = new SparkListener {
-      private val stages = mutable.Set.empty[Int]
-      var records = 0L
-      var markerSeen = false
-      override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
-        Option(e.properties).map(_.getProperty(key)) match {
-          case Some("count")  => stages ++= e.stageIds
-          case Some("marker") => markerSeen = true
-          case _              =>
-        }
-      }
-      override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
-        if (stages(e.stageId) && e.taskMetrics != null)
-          records += e.taskMetrics.inputMetrics.recordsRead
-      }
-    }
-    sc.addSparkListener(counter)
-    try {
-      sc.setLocalProperty(key, "count")
-      val result = try body finally sc.setLocalProperty(key, null)
-      sc.setLocalProperty(key, "marker")
-      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(key, null)
-      val deadline = System.nanoTime() + 30L * 1000000000L
-      while (!counter.synchronized(counter.markerSeen)) {
-        assert(System.nanoTime() < deadline, "Spark listener stalled")
-        Thread.sleep(5)
-      }
-      (result, counter.synchronized(counter.records))
-    } finally sc.removeSparkListener(counter)
-  }
 
   test("inMemory federation mirrors the Spark federation's exact answers") {
     val memFed = fed.inMemory(TestFixtures.cfg)
