@@ -1,6 +1,11 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicLong
+
 import scala.collection.mutable
+import scala.concurrent.{Await, Future}
+import scala.concurrent.ExecutionContext.Implicits.global
+import scala.concurrent.duration.Duration
 import scala.jdk.CollectionConverters._
 import scala.util.Using
 
@@ -13,15 +18,14 @@ import org.apache.parquet.example.DummyRecordConverter
 import org.apache.parquet.filter2.compat.FilterCompat
 import org.apache.parquet.filter2.predicate.{FilterApi, FilterPredicate}
 import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.metadata.ParquetMetadata
 import org.apache.parquet.hadoop.util.HadoopInputFile
 import org.apache.parquet.schema.{GroupType, MessageType}
 import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
-import org.apache.spark.util.{LongAccumulator, SerializableConfiguration}
 
 /** Physical evaluation of range queries against the clustered, federated
   * tensor. The protocol only ever needs two primitives:
@@ -31,15 +35,15 @@ import org.apache.spark.util.{LongAccumulator, SerializableConfiguration}
   *  - `exactTotal`: the plain-text full-scan answer (the speed-up baseline
   *    and the error ground truth).
   *
-  * Three implementations exist (DESIGN.md §3). [[ParquetClusterEval]] runs
-  * one Spark job of direct parquet page reads per query, with no SQL
-  * planning, and decodes only the pages of the sampled clusters: the I/O
-  * saving. [[BlockClusterEval]] runs one Spark job over the cached store's
-  * per-cluster blocks, on only the partitions holding sampled clusters.
-  * [[InMemoryClusterEval]] replays the same semantics over arrays
+  * Three implementations exist (DESIGN.md §3). [[ParquetClusterEval]]
+  * reads the parquet pages of the sampled clusters directly, one driver
+  * thread per provider and no Spark job, and decodes only those pages: the
+  * I/O saving. [[BlockClusterEval]] runs one Spark job over the cached
+  * store's per-cluster blocks, on only the partitions holding sampled
+  * clusters. [[InMemoryClusterEval]] replays the same semantics over arrays
   * collected into the JVM, for statistical tests and the attack bench, which
   * make thousands of protocol runs, and as the independent reference the
-  * Spark evaluators are checked against.
+  * other evaluators are checked against.
   */
 trait ClusterEval {
   /** `Q(C)` per sampled `(provider, cluster)` key, for every key in
@@ -81,45 +85,45 @@ object ClusterEval {
 /** Evaluation over `Setup.build`'s parquet store: one file per provider,
   * its rows sorted by `cluster_id`, with one page per cluster.
   *
-  * `perCluster` runs one Spark job with one task per provider that has
-  * sampled clusters, and no SQL analysis or planning. Each task opens its
-  * provider's file with parquet-mr and projects `cluster_id`, the query's
-  * dimensions and `measure`. The `cluster_id` column index then selects the
-  * pages to decode: only those whose [min, max] holds a sampled id, in
-  * every row group. This is page-level cluster sampling, as over the
-  * paper's PostgreSQL pages. The task sums each sampled cluster's decoded
-  * rows with [[BlockClusterEval.Kernel]], so the driver receives one `Long`
-  * per cluster and row group holding it.
+  * `perCluster` runs no Spark job. It reads the files on driver threads,
+  * one per provider that has sampled clusters, in parallel, as the paper's
+  * providers each scan their own pages, and waits for all of them. Each
+  * reader opens its provider's file with parquet-mr, from the footer read
+  * once by `fromStore`, and projects `cluster_id`, the query's dimensions
+  * and `measure`. The `cluster_id` column index then selects the pages to
+  * decode: only those whose [min, max] holds a sampled id, in every row
+  * group. This is page-level cluster sampling, as over the paper's
+  * PostgreSQL pages. The reader sums each sampled cluster's decoded rows
+  * with [[BlockClusterEval.Kernel]], so it returns one `Long` per cluster
+  * and row group holding it. Files are opened through Hadoop's
+  * `FileSystem`, so an `hdfs://` store is read the same way.
   *
   * `exactTotal` is the plain-text baseline: a DataFrame full scan of `df`,
   * summed in each task.
   *
   * @param df    the store read back as a DataFrame
   * @param files each provider's file; a provider without one has no rows
-  * @param conf  the session's Hadoop configuration, for the tasks
+  * @param conf  the session's Hadoop configuration
   */
-final class ParquetClusterEval private (df: DataFrame, files: Map[Int, String],
-                                        conf: Broadcast[SerializableConfiguration],
-                                        decoded: LongAccumulator) extends ClusterEval {
+final class ParquetClusterEval private (df: DataFrame, files: Map[Int, ParquetClusterEval.StoreFile],
+                                        conf: Configuration) extends ClusterEval {
+  import Clustering.ClusterCol
+  import ParquetClusterEval.{anyOf, values, StoreFile}
 
-  /** Rows the `perCluster` tasks have decoded so far, over every call. */
-  def rowsDecoded: Long = decoded.value
+  private val decoded = new AtomicLong
+
+  /** Rows the `perCluster` readers have decoded so far, over every call. */
+  def rowsDecoded: Long = decoded.get
 
   override def perCluster(sampled: Map[Int, Seq[Int]], q: RangeQuery): Map[(Int, Int), Double] = {
-    val keys = ClusterEval.keysOf(sampled)
-    val work = sampled.toSeq.collect {
-      case (p, cs) if cs.nonEmpty && files.contains(p) => (p, files(p), cs.toArray)
-    }
-    if (work.isEmpty) return ClusterEval.sumPerKey(keys, Nil)
-    // the task closure captures only these values, not the evaluator
     val dims = q.ranges.map(_.dim)
     val k = BlockClusterEval.Kernel(dims.indices.toArray,
       q.ranges.map(_.lb).toArray, q.ranges.map(_.ub).toArray, q.agg == Agg.Count)
-    val (c, acc) = (conf, decoded)
-    val got = df.sparkSession.sparkContext.parallelize(work, work.size)
-      .flatMap { case (p, path, cs) => ParquetClusterEval.scan(p, path, cs, dims, k, c.value.value, acc) }
-      .collect()
-    ClusterEval.sumPerKey(keys, got)
+    // the global pool's threads are daemons: they keep no JVM alive
+    val scans = sampled.toSeq.collect {
+      case (p, cs) if cs.nonEmpty && files.contains(p) => Future(scan(p, files(p), cs.toArray, dims, k))
+    }
+    ClusterEval.sumPerKey(ClusterEval.keysOf(sampled), scans.iterator.flatMap(Await.result(_, Duration.Inf)))
   }
 
   /** Reads the plan's internal rows: `Dataset.rdd` would plan the query a
@@ -129,58 +133,27 @@ final class ParquetClusterEval private (df: DataFrame, files: Map[Int, String],
     df.filter(q.predicate).select(q.contribution).queryExecution.toRdd
       .mapPartitions(rows => Iterator.single(rows.map(_.getLong(0)).sum))
       .collect().sum.toDouble
-}
 
-object ParquetClusterEval {
-  import Clustering.{ClusterCol, ProviderCol}
-
-  /** The evaluator over `df`, a store of one parquet file per provider.
-    * Each file's provider id is read from its footer: the statistics of
-    * its `provider_id` column chunks, which must all hold one value.
-    */
-  def fromStore(df: DataFrame): ParquetClusterEval = {
-    val sc = df.sparkSession.sparkContext
-    val conf = sc.hadoopConfiguration
-    val files = df.inputFiles.toSeq.map { f =>
-      val path = new Path(f)
-      // without Hadoop options, parquet-mr builds a fresh Configuration: ~7 ms a file
-      val footer = Using.resource(ParquetFileReader.open(HadoopInputFile.fromPath(path, conf),
-        HadoopReadOptions.builder(conf, path).build()))(_.getFooter)
-      val chunks = footer.getBlocks.asScala
-        .flatMap(_.getColumns.asScala.filter(_.getPath.toDotString == ProviderCol))
-      val ids = chunks.flatMap(c => Seq[Any](c.getStatistics.genericGetMin, c.getStatistics.genericGetMax))
-        .distinct
-      require(ids.size == 1, s"$f: expected one $ProviderCol, found ${ids.mkString(", ")}")
-      ids.head.asInstanceOf[Integer].intValue -> f
-    }
-    require(files.map(_._1).distinct.size == files.size,
-      s"one file per provider expected: ${files.mkString(", ")}")
-    new ParquetClusterEval(df, files.toMap, sc.broadcast(new SerializableConfiguration(conf)),
-      sc.longAccumulator("parquet rows decoded"))
-  }
-
-  /** One provider's task: decode the pages of `path` that may hold a
+  /** One provider's reader: decode the pages of `file` that may hold a
     * cluster in `clusters`, and sum the query's kernel over each of those
     * clusters' rows, per row group. `dims` are the kernel's columns.
     */
-  private def scan(provider: Int, path: String, clusters: Array[Int], dims: Seq[String],
-                   k: BlockClusterEval.Kernel, conf: Configuration,
-                   decoded: LongAccumulator): Seq[((Int, Int), Long)] = {
+  private def scan(provider: Int, file: StoreFile, clusters: Array[Int], dims: Seq[String],
+                   k: BlockClusterEval.Kernel): Seq[((Int, Int), Long)] = {
     val want = clusters.toSet
-    val file = new Path(path)
-    val opts = HadoopReadOptions.builder(conf, file)
+    val opts = HadoopReadOptions.builder(conf, file.input.getPath)
       .withRecordFilter(FilterCompat.get(anyOf(clusters)))
       .useColumnIndexFilter(true)
       // these would read more to drop whole row groups, not pages
       .useDictionaryFilter(false)
       .useBloomFilter(false)
       .build()
+    val meta = file.footer.getFileMetaData
+    val schema: GroupType = meta.getSchema // for its one-name `getType`
+    val projection = new MessageType(schema.getName,
+      (ClusterCol +: dims :+ Tensor.MeasureCol).map(c => schema.getType(c)): _*)
     val out = mutable.ArrayBuffer.empty[((Int, Int), Long)]
-    Using.resource(ParquetFileReader.open(HadoopInputFile.fromPath(file, conf), opts)) { reader =>
-      val meta = reader.getFooter.getFileMetaData
-      val schema: GroupType = meta.getSchema // for its one-name `getType`
-      val projection = new MessageType(schema.getName,
-        (ClusterCol +: dims :+ Tensor.MeasureCol).map(c => schema.getType(c)): _*)
+    Using.resource(ParquetFileReader.open(file.input, file.footer, opts, file.input.newStream())) { reader =>
       reader.setRequestedSchema(projection)
       val root = new DummyRecordConverter(projection).getRootConverter
       var rowGroup = reader.readNextFilteredRowGroup()
@@ -203,11 +176,42 @@ object ParquetClusterEval {
           }
           from = until
         }
-        decoded.add(n)
+        decoded.addAndGet(n)
         rowGroup = reader.readNextFilteredRowGroup()
       }
     }
     out.toSeq
+  }
+}
+
+object ParquetClusterEval {
+  import Clustering.{ClusterCol, ProviderCol}
+
+  /** A provider's file, with the footer every query's reader reuses. */
+  private[core] final case class StoreFile(input: HadoopInputFile, footer: ParquetMetadata)
+
+  /** The evaluator over `df`, a store of one parquet file per provider.
+    * Each file's provider id is read from its footer: the statistics of
+    * its `provider_id` column chunks, which must all hold one value.
+    */
+  def fromStore(df: DataFrame): ParquetClusterEval = {
+    val conf = df.sparkSession.sparkContext.hadoopConfiguration
+    val files = df.inputFiles.toSeq.map { f =>
+      val path = new Path(f)
+      val input = HadoopInputFile.fromPath(path, conf)
+      // without Hadoop options, parquet-mr builds a fresh Configuration: ~7 ms a file
+      val footer = Using.resource(ParquetFileReader.open(input,
+        HadoopReadOptions.builder(conf, path).build()))(_.getFooter)
+      val chunks = footer.getBlocks.asScala
+        .flatMap(_.getColumns.asScala.filter(_.getPath.toDotString == ProviderCol))
+      val ids = chunks.flatMap(c => Seq[Any](c.getStatistics.genericGetMin, c.getStatistics.genericGetMax))
+        .distinct
+      require(ids.size == 1, s"$f: expected one $ProviderCol, found ${ids.mkString(", ")}")
+      ids.head.asInstanceOf[Integer].intValue -> StoreFile(input, footer)
+    }
+    require(files.map(_._1).distinct.size == files.size,
+      s"one file per provider expected: ${files.map { case (p, f) => p -> f.input }.mkString(", ")}")
+    new ParquetClusterEval(df, files.toMap, conf)
   }
 
   /** `cluster_id` equals one of `ids` (not empty), as a balanced tree of

@@ -17,9 +17,10 @@ import repro.core._
   *
   *  - [[Storage.Parquet]]: one parquet file per provider, its rows sorted
   *    by `cluster_id` with one page per cluster, read back;
-  *    [[repro.core.ParquetClusterEval]]'s sampled-cluster scans decode
-  *    only the pages of the sampled clusters, chosen by their column-index
-  *    statistics (real I/O saving — used by the paper-figure benches).
+  *    [[repro.core.ParquetClusterEval]]'s sampled-cluster scans run no
+  *    Spark job: one driver thread per provider decodes only the pages of
+  *    its sampled clusters, chosen by their column-index statistics (real
+  *    I/O saving — used by the paper-figure benches).
   *    Without a `dir`, the store goes to a fresh temporary directory that
   *    is deleted when the JVM exits; a given `dir` is never deleted;
   *  - [[Storage.Cached]]: kept as a cached DataFrame, plus per-cluster

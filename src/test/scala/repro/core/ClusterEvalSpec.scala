@@ -1,7 +1,10 @@
 package repro.core
 
 import java.nio.file.Files
+import java.util.concurrent.{CyclicBarrier, Executors, LinkedBlockingQueue, TimeUnit}
 
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration._
 import scala.jdk.CollectionConverters._
 import scala.util.Using
 
@@ -10,6 +13,7 @@ import org.apache.hadoop.fs.Path
 import org.apache.parquet.hadoop.ParquetFileReader
 import org.apache.parquet.hadoop.metadata.BlockMetaData
 import org.apache.parquet.hadoop.util.HadoopInputFile
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestFixtures}
@@ -170,6 +174,78 @@ class ClusterEvalSpec extends SparkSpec {
     assert(memEval.perCluster(covering, q2).values.sum == memEval.exactTotal(q2))
     assert(sparkEval.perCluster(covering, q2).values.sum == sparkEval.exactTotal(q2))
     assert(blockEval.perCluster(covering, q2).values.sum == blockEval.exactTotal(q2))
+  }
+
+  /** Spark jobs started while `body` runs. A listener sees every job start
+    * between two marker jobs: the bus delivers its events in order.
+    */
+  private def jobsDuring(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val started = new LinkedBlockingQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        started.put(Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description")))
+          .getOrElse(""))
+    }
+    def marker(name: String): Unit = {
+      sc.setJobDescription(name)
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+    }
+    sc.addSparkListener(listener)
+    try {
+      marker("before perCluster")
+      body
+      marker("after perCluster")
+      val seen = Iterator.continually(started.poll(30, TimeUnit.SECONDS))
+        .map(j => { assert(j != null, "Spark listener stalled"); j })
+        .takeWhile(_ != "after perCluster").toSeq
+      seen.dropWhile(_ != "before perCluster").size - 1
+    } finally sc.removeSparkListener(listener)
+  }
+
+  /** Samples of 1–12 clusters from a random subset of `fed`'s providers. */
+  private def randomCalls(n: Int, seed: Int): Seq[(Map[Int, Seq[Int]], RangeQuery)] = {
+    val rng = new scala.util.Random(seed)
+    Seq.fill(n) {
+      val sampled = fed.metas.filter(m => m.providerId == 0 || rng.nextDouble() < 0.8).map { m =>
+        m.providerId -> rng.shuffle(m.clusters.map(_.clusterId)).take(1 + rng.nextInt(12))
+      }.toMap
+      (sampled, Datasets.randomQuery(Datasets.adultDims, 1 + rng.nextInt(4),
+        if (rng.nextBoolean()) Agg.Count else Agg.SumMeasure, rng))
+    }
+  }
+
+  test("parquet perCluster starts no Spark job") {
+    val eval = sparkEval.asInstanceOf[ParquetClusterEval]
+    val calls = randomCalls(8, seed = 9)
+    assert(jobsDuring(eval.exactTotal(q2)) > 0, "the listener sees the exact scan's job")
+    assert(jobsDuring(calls.foreach { case (s, q) => eval.perCluster(s, q) }) == 0)
+  }
+
+  test("parquet perCluster from 4 threads at once agrees with in-memory evaluation") {
+    val eval = sparkEval.asInstanceOf[ParquetClusterEval]
+    val calls = randomCalls(4 * 6, seed = 10)
+    // each call's decoded rows, one call at a time
+    val alone = calls.map { case (s, q) =>
+      val before = eval.rowsDecoded
+      eval.perCluster(s, q)
+      eval.rowsDecoded - before
+    }
+    val pool = Executors.newFixedThreadPool(4)
+    try {
+      implicit val ec: ExecutionContext = ExecutionContext.fromExecutorService(pool)
+      val start = new CyclicBarrier(4)
+      val before = eval.rowsDecoded
+      val threads = calls.grouped(6).toSeq.map { mine =>
+        Future {
+          start.await()
+          mine.map { case (s, q) => (s, q, eval.perCluster(s, q)) }
+        }
+      }
+      for ((s, q, got) <- threads.flatMap(Await.result(_, 2.minutes)))
+        assert(got == memEval.perCluster(s, q), s"query $q, sample $s")
+      assert(eval.rowsDecoded - before == alone.sum)
+    } finally pool.shutdown()
   }
 
   test("page reads agree with in-memory evaluation when clusters straddle pages and row groups") {

@@ -66,24 +66,26 @@ class SetupSpec extends SparkSpec {
   }
 
   test("parquet storage round-trips the clustered tensor") {
-    val dir = java.nio.file.Files.createTempDirectory("repro-setup-test-").toString
-    val setup = Setup.build(spark, Datasets.adultRaw(spark, 5000, seed = 7L),
-      Datasets.adultDims.map(_.name), nProviders = 2, clusterFrac = 0.02,
-      FedConfig(nMin = 4), Storage.Parquet(Some(dir)), seed = 9L)
-    val cached = Setup.build(spark, Datasets.adultRaw(spark, 5000, seed = 7L),
-      Datasets.adultDims.map(_.name), nProviders = 2, clusterFrac = 0.02,
-      FedConfig(nMin = 4), Storage.Cached, seed = 9L)
-    assert(setup.clustered.count() == cached.clustered.count())
-    assert(setup.S == cached.S)
-    // each store is scanned by its own evaluator
-    assert(setup.eval.isInstanceOf[ParquetClusterEval])
-    assert(cached.eval.isInstanceOf[BlockClusterEval])
-    // same content regardless of storage
-    val a = setup.clustered.select(setup.clustered.columns.sorted.map(col): _*)
-      .collect().map(_.toString).sorted
-    val b = cached.clustered.select(cached.clustered.columns.sorted.map(col): _*)
-      .collect().map(_.toString).sorted
-    assert(a.sameElements(b))
+    val dir = java.nio.file.Files.createTempDirectory("repro-setup-test-")
+    try {
+      val setup = Setup.build(spark, Datasets.adultRaw(spark, 5000, seed = 7L),
+        Datasets.adultDims.map(_.name), nProviders = 2, clusterFrac = 0.02,
+        FedConfig(nMin = 4), Storage.Parquet(Some(dir.toString)), seed = 9L)
+      val cached = Setup.build(spark, Datasets.adultRaw(spark, 5000, seed = 7L),
+        Datasets.adultDims.map(_.name), nProviders = 2, clusterFrac = 0.02,
+        FedConfig(nMin = 4), Storage.Cached, seed = 9L)
+      assert(setup.clustered.count() == cached.clustered.count())
+      assert(setup.S == cached.S)
+      // each store is scanned by its own evaluator
+      assert(setup.eval.isInstanceOf[ParquetClusterEval])
+      assert(cached.eval.isInstanceOf[BlockClusterEval])
+      // same content regardless of storage
+      val a = setup.clustered.select(setup.clustered.columns.sorted.map(col): _*)
+        .collect().map(_.toString).sorted
+      val b = cached.clustered.select(cached.clustered.columns.sorted.map(col): _*)
+        .collect().map(_.toString).sorted
+      assert(a.sameElements(b))
+    } finally FileUtils.deleteDirectory(dir.toFile)
   }
 
   test("one sorted parquet file per provider; one-cluster scans read <= 2S rows") {
