@@ -2,7 +2,7 @@ package repro.baseline
 
 import scala.util.Random
 
-import repro.core.{Agg, RangeQuery}
+import repro.core.{Agg, RangeKernel, RangeQuery}
 import repro.smc.SecretSharing
 
 /** The paper's motivating simulation (Figure 1): evaluating a federated
@@ -77,31 +77,15 @@ object RowSharingSmc {
     (answer, (System.nanoTime() - t0) / 1e6)
   }
 
-  /** (ii) Result sharing: each provider evaluates locally in the clear and
-    * only its scalar result enters SMC. Returns (answer, ms).
+  /** (ii) Result sharing: each provider evaluates locally in the clear,
+    * with the scans' [[RangeKernel]], and only its scalar result enters SMC.
+    * Returns (answer, ms).
     */
   def evaluateResultSharing(parties: Seq[LocalRows], q: RangeQuery, nParties: Int,
                             rng: Random): (Double, Double) = {
     val t0 = System.nanoTime()
     val locals = parties.map { rows =>
-      val dimIdx = q.ranges.map(r => rows.dims.indexOf(r.dim))
-      var acc = 0.0
-      var i = 0
-      while (i < rows.measures.length) {
-        var ok = true
-        var d = 0
-        while (ok && d < dimIdx.length) {
-          val v = rows.values(dimIdx(d))(i)
-          ok = v >= q.ranges(d).lb && v <= q.ranges(d).ub
-          d += 1
-        }
-        if (ok) acc += (q.agg match {
-          case Agg.Count      => 1.0
-          case Agg.SumMeasure => rows.measures(i).toDouble
-        })
-        i += 1
-      }
-      acc
+      new RangeKernel(q, rows.dims.indexOf(_)).span(rows.values, rows.measures, 0, rows.measures.length).toDouble
     }
     val answer = SecretSharing.secureSum(locals, rng)
     (answer, (System.nanoTime() - t0) / 1e6)

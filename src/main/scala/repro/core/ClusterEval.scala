@@ -40,10 +40,11 @@ import org.apache.spark.storage.StorageLevel
   * thread per provider and no Spark job, and decodes only those pages: the
   * I/O saving. [[BlockClusterEval]] runs one Spark job over the cached
   * store's per-cluster blocks, on only the partitions holding sampled
-  * clusters. [[InMemoryClusterEval]] replays the same semantics over arrays
-  * collected into the JVM, for statistical tests and the attack bench, which
-  * make thousands of protocol runs, and as the independent reference the
-  * other evaluators are checked against.
+  * clusters. Both sum rows with the one [[RangeKernel]].
+  * [[InMemoryClusterEval]] replays the same semantics over arrays collected
+  * into the JVM, with its own predicate, for statistical tests and the
+  * attack bench, which make thousands of protocol runs, and as the
+  * independent reference the other evaluators are checked against.
   */
 trait ClusterEval {
   /** `Q(C)` per sampled `(provider, cluster)` key, for every key in
@@ -93,10 +94,11 @@ object ClusterEval {
   * and `measure`. The `cluster_id` column index then selects the pages to
   * decode: only those whose [min, max] holds a sampled id, in every row
   * group. This is page-level cluster sampling, as over the paper's
-  * PostgreSQL pages. The reader sums each sampled cluster's decoded rows
-  * with [[BlockClusterEval.Kernel]], so it returns one `Long` per cluster
-  * and row group holding it. Files are opened through Hadoop's
-  * `FileSystem`, so an `hdfs://` store is read the same way.
+  * PostgreSQL pages. The reader decodes each row group's columns once and
+  * sums each sampled cluster's run of rows in place with the query's
+  * [[RangeKernel]], so it returns one `Long` per cluster and row group
+  * holding it. Files are opened through Hadoop's `FileSystem`, so an
+  * `hdfs://` store is read the same way.
   *
   * `exactTotal` is the plain-text baseline: a DataFrame full scan of `df`,
   * summed in each task.
@@ -108,7 +110,7 @@ object ClusterEval {
 final class ParquetClusterEval private (df: DataFrame, files: Map[Int, ParquetClusterEval.StoreFile],
                                         conf: Configuration) extends ClusterEval {
   import Clustering.ClusterCol
-  import ParquetClusterEval.{anyOf, values, StoreFile}
+  import ParquetClusterEval.{anyOf, ints, longs, StoreFile}
 
   private val decoded = new AtomicLong
 
@@ -117,8 +119,7 @@ final class ParquetClusterEval private (df: DataFrame, files: Map[Int, ParquetCl
 
   override def perCluster(sampled: Map[Int, Seq[Int]], q: RangeQuery): Map[(Int, Int), Double] = {
     val dims = q.ranges.map(_.dim)
-    val k = BlockClusterEval.Kernel(dims.indices.toArray,
-      q.ranges.map(_.lb).toArray, q.ranges.map(_.ub).toArray, q.agg == Agg.Count)
+    val k = new RangeKernel(q, dims.indexOf(_))
     // the global pool's threads are daemons: they keep no JVM alive
     val scans = sampled.toSeq.collect {
       case (p, cs) if cs.nonEmpty && files.contains(p) => Future(scan(p, files(p), cs.toArray, dims, k))
@@ -139,7 +140,7 @@ final class ParquetClusterEval private (df: DataFrame, files: Map[Int, ParquetCl
     * clusters' rows, per row group. `dims` are the kernel's columns.
     */
   private def scan(provider: Int, file: StoreFile, clusters: Array[Int], dims: Seq[String],
-                   k: BlockClusterEval.Kernel): Seq[((Int, Int), Long)] = {
+                   k: RangeKernel): Seq[((Int, Int), Long)] = {
     val want = clusters.toSet
     val opts = HadoopReadOptions.builder(conf, file.input.getPath)
       .withRecordFilter(FilterCompat.get(anyOf(clusters)))
@@ -161,19 +162,15 @@ final class ParquetClusterEval private (df: DataFrame, files: Map[Int, ParquetCl
         // the rows of the selected pages, in file order
         val n = Math.toIntExact(rowGroup.getRowCount)
         val store = new ColumnReadStoreImpl(rowGroup, root, projection, meta.getCreatedBy)
-        val cols = projection.getColumns.asScala.map(c => values(store.getColumnReader(c), n))
-        val ids = cols.head
+        val cols = projection.getColumns.asScala.map(store.getColumnReader)
+        val ids = ints(cols.head, n)
+        val dimCols = cols.slice(1, 1 + dims.size).map(ints(_, n)).toArray
+        val measures = longs(cols.last, n)
         var from = 0
         while (from < n) {
           var until = from + 1
           while (until < n && ids(until) == ids(from)) until += 1
-          val c = Math.toIntExact(ids(from))
-          if (want(c)) {
-            val b = BlockClusterEval.Block(provider, c,
-              cols.slice(1, 1 + dims.size).map(_.slice(from, until).map(Math.toIntExact)).toArray,
-              cols.last.slice(from, until))
-            out += (provider, c) -> k.total(b)
-          }
+          if (want(ids(from))) out += (provider, ids(from)) -> k.span(dimCols, measures, from, until)
           from = until
         }
         decoded.addAndGet(n)
@@ -225,18 +222,33 @@ object ParquetClusterEval {
       FilterApi.or(anyOf(a), anyOf(b))
     }
 
-  /** The next `n` values of an `INT32` or `INT64` column without nulls. */
-  private def values(r: ColumnReader, n: Int): Array[Long] = {
+  /** Passes the next `n` values of an `INT32` or `INT64` column without
+    * nulls to `put(i, value)`.
+    */
+  private def decode(r: ColumnReader, n: Int)(put: (Int, Long) => Unit): Unit = {
     val d = r.getDescriptor
     val int32 = d.getPrimitiveType.getPrimitiveTypeName == PrimitiveTypeName.INT32
-    val out = new Array[Long](n)
     var i = 0
     while (i < n) {
       require(r.getCurrentDefinitionLevel == d.getMaxDefinitionLevel, s"null in ${d.getPath.mkString(".")}")
-      out(i) = if (int32) r.getInteger.toLong else r.getLong
+      put(i, if (int32) r.getInteger.toLong else r.getLong)
       r.consume()
       i += 1
     }
+  }
+
+  /** The next `n` values of a column, as [[decode]] reads them: `ints`
+    * narrows each exactly to `Int`, `longs` keeps them as they are.
+    */
+  private def ints(r: ColumnReader, n: Int): Array[Int] = {
+    val out = new Array[Int](n)
+    decode(r, n)((i, v) => out(i) = Math.toIntExact(v))
+    out
+  }
+
+  private def longs(r: ColumnReader, n: Int): Array[Long] = {
+    val out = new Array[Long](n)
+    decode(r, n)(out(_) = _)
     out
   }
 }
@@ -245,8 +257,9 @@ object ParquetClusterEval {
   * `(provider, cluster)` is one [[BlockClusterEval.Block]] (an `Int` column
   * per dimension and the measures), and an index held by the evaluator
   * maps each cluster to the partitions holding its rows. `perCluster` is one
-  * job over only the partitions of the sampled clusters, and runs its kernel
-  * only on their blocks: the cached analog of reading only the sampled pages.
+  * job over only the partitions of the sampled clusters, and runs the
+  * query's [[RangeKernel]] only on their blocks: the cached analog of
+  * reading only the sampled pages.
   *
   * The evaluator alone holds the blocks, so Spark's ContextCleaner drops
   * them once the evaluator is unreachable.
@@ -254,33 +267,29 @@ object ParquetClusterEval {
 final class BlockClusterEval private (blocks: RDD[BlockClusterEval.Block],
                                       index: Map[(Int, Int), Array[Int]],
                                       dimIndex: Map[String, Int]) extends ClusterEval {
-  import BlockClusterEval.{Block, Kernel}
+  import BlockClusterEval.Block
 
   /** Partitions holding any block: the cached store's shuffle may leave
     * many partitions empty, and the exact scan skips them.
     */
   private val filled: Seq[Int] = index.valuesIterator.flatten.toSeq.distinct.sorted
 
-  private def kernel(q: RangeQuery): Kernel = Kernel(
-    q.ranges.map(r => dimIndex(r.dim)).toArray, q.ranges.map(_.lb).toArray,
-    q.ranges.map(_.ub).toArray, q.agg == Agg.Count)
-
   override def perCluster(sampled: Map[Int, Seq[Int]], q: RangeQuery): Map[(Int, Int), Double] = {
     val keys = ClusterEval.keysOf(sampled)
     val parts = keys.flatMap(index.getOrElse(_, Array.emptyIntArray)).distinct.sorted
     if (parts.isEmpty) return ClusterEval.sumPerKey(keys, Nil)
     // the task closure captures only these two values, not the evaluator
-    val k = kernel(q)
+    val k = new RangeKernel(q, dimIndex)
     val want = keys.toSet
     val got = blocks.sparkContext.runJob(blocks, (it: Iterator[Block]) =>
       it.filter(b => want((b.provider, b.cluster)))
-        .map(b => (b.provider, b.cluster) -> k.total(b)).toArray, parts)
+        .map(b => (b.provider, b.cluster) -> b.total(k)).toArray, parts)
     ClusterEval.sumPerKey(keys, got.iterator.flatten)
   }
 
   override def exactTotal(q: RangeQuery): Double = {
-    val k = kernel(q)
-    blocks.sparkContext.runJob(blocks, (it: Iterator[Block]) => it.map(k.total).sum, filled)
+    val k = new RangeKernel(q, dimIndex)
+    blocks.sparkContext.runJob(blocks, (it: Iterator[Block]) => it.map(_.total(k)).sum, filled)
       .sum.toDouble
   }
 }
@@ -288,24 +297,9 @@ final class BlockClusterEval private (blocks: RDD[BlockClusterEval.Block],
 object BlockClusterEval {
 
   /** One cluster's rows, column-wise: `dims(d)(i)` is dimension `d` of row `i`. */
-  final case class Block(provider: Int, cluster: Int, dims: Array[Array[Int]], measures: Array[Long])
-
-  /** A query's predicate and aggregation over a block's columns. */
-  final case class Kernel(dimIdx: Array[Int], lbs: Array[Int], ubs: Array[Int], isCount: Boolean) {
-    def total(b: Block): Long = {
-      var s = 0L; var i = 0
-      while (i < b.measures.length) {
-        var ok = true; var d = 0
-        while (ok && d < dimIdx.length) {
-          val v = b.dims(dimIdx(d))(i)
-          ok = v >= lbs(d) && v <= ubs(d)
-          d += 1
-        }
-        if (ok) s += (if (isCount) 1L else b.measures(i))
-        i += 1
-      }
-      s
-    }
+  final case class Block(provider: Int, cluster: Int, dims: Array[Array[Int]], measures: Array[Long]) {
+    /** The kernel's query over every row of the block. */
+    def total(k: RangeKernel): Long = k.span(dims, measures, 0, measures.length)
   }
 
   /** Group each partition of a clustered federated DataFrame (provider_id,

@@ -43,3 +43,36 @@ final case class RangeQuery(agg: Agg, ranges: Seq[DimRange]) {
     case Agg.SumMeasure => col(Tensor.MeasureCol).cast("long")
   }
 }
+
+/** A query's predicate and aggregation over integer column arrays: the one
+  * plain-text range evaluation that the parquet page reader, the block
+  * evaluator and Figure 1's result sharing run. [[InMemoryClusterEval]]
+  * keeps its own, as the independent reference this one is checked against.
+  *
+  * @param column the index of each of `q`'s dimensions among the column
+  *               arrays that [[span]] is given
+  */
+final class RangeKernel(q: RangeQuery, column: String => Int) extends Serializable {
+  private val cols = q.ranges.map(r => column(r.dim)).toArray
+  private val lbs = q.ranges.map(_.lb).toArray
+  private val ubs = q.ranges.map(_.ub).toArray
+  private val isCount = q.agg == Agg.Count
+
+  /** The query's answer over rows `[from, until)`, exact in `Long`:
+    * `dims(c)(i)` is column `c` of row `i`.
+    */
+  def span(dims: Array[Array[Int]], measures: Array[Long], from: Int, until: Int): Long = {
+    var s = 0L; var i = from
+    while (i < until) {
+      var ok = true; var d = 0
+      while (ok && d < cols.length) {
+        val v = dims(cols(d))(i)
+        ok = v >= lbs(d) && v <= ubs(d)
+        d += 1
+      }
+      if (ok) s += (if (isCount) 1L else measures(i))
+      i += 1
+    }
+    s
+  }
+}

@@ -102,20 +102,14 @@ object Datasets {
           (lit(1) + floor(base * lit(85.0) + pow(rand(seed + 100), 3.0) * lit(15.0))).cast("int"))))
   }
 
-  /** A workload `(m, n)` (paper §6.1): `m` random range queries each
+  /** One random range query of a workload `(m, n)` (paper §6.1),
     * constraining `n` distinct dimensions. Range widths are 40–85% of the
     * domain so queries are selective but their answers stay large relative
     * to DP noise (the paper's datasets are orders of magnitude bigger, so
     * narrower queries still dwarf the noise there).
     */
-  def randomWorkload(dims: Seq[DimSpec], m: Int, n: Int, agg: Agg, seed: Long): Seq[RangeQuery] = {
-    require(n >= 1 && n <= dims.size, s"n=$n out of range for ${dims.size} dims")
-    val rng = new Random(seed)
-    Seq.fill(m)(randomQuery(dims, n, agg, rng))
-  }
-
-  /** One random `n`-dimensional range query. */
   def randomQuery(dims: Seq[DimSpec], n: Int, agg: Agg, rng: Random): RangeQuery = {
+    require(n >= 1 && n <= dims.size, s"n=$n out of range for ${dims.size} dims")
     val chosen = rng.shuffle(dims.toList).take(n)
     val ranges = chosen.map { spec =>
       val width = math.max(1, ((0.4 + 0.45 * rng.nextDouble()) * spec.size).toInt)

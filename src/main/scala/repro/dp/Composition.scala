@@ -1,6 +1,7 @@
 package repro.dp
 
-/** DP composition accounting (paper Theorems 3.1–3.3 and §6.6).
+/** Per-query DP budgets of §6.6, from the composition theorems (paper
+  * Theorems 3.1–3.3).
   *
   * The analyst holds a total budget `(ξ, ψ)`; each query spends `(ε, δ)`.
   * Section 6.6 derives the per-query budget an attacker can afford for
@@ -16,16 +17,7 @@ object Composition {
 
   final case class Budget(eps: Double, delta: Double) {
     require(eps >= 0 && delta >= 0)
-    def +(o: Budget): Budget = Budget(eps + o.eps, delta + o.delta)
   }
-
-  /** Sequential composition of `n` mechanisms (Theorem 3.1). */
-  def sequential(budgets: Seq[Budget]): Budget =
-    budgets.foldLeft(Budget(0, 0))(_ + _)
-
-  /** Parallel composition over disjoint data (Theorem 3.2). */
-  def parallel(budgets: Seq[Budget]): Budget =
-    Budget(budgets.map(_.eps).max, budgets.map(_.delta).max)
 
   /** Per-query budget under sequential composition of `n` queries. */
   def sequentialPerQuery(xi: Double, psi: Double, n: Long): Budget =

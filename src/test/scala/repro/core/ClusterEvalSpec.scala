@@ -87,14 +87,15 @@ class ClusterEvalSpec extends SparkSpec {
 
   test("block evaluation agrees when clusters are split across partitions") {
     val spread = fed.clustered.repartition(7).cache()
-    val partsPerCluster = spread
-      .select(col(Clustering.ProviderCol), col(Clustering.ClusterCol), spark_partition_id().as("part"))
-      .distinct().groupBy(Clustering.ProviderCol, Clustering.ClusterCol).count()
-    assert(partsPerCluster.filter(col("count") > 1).count() > 0, "expected split clusters")
-    // the rows of a split cluster reach the in-memory collect apart
-    agreesOnRandomQueries(Seq(BlockClusterEval.fromDataFrame(spread, fed.dims),
-      InMemoryClusterEval.fromDataFrame(spread, fed.dims)), seed = 6)
-    spread.unpersist()
+    try {
+      val partsPerCluster = spread
+        .select(col(Clustering.ProviderCol), col(Clustering.ClusterCol), spark_partition_id().as("part"))
+        .distinct().groupBy(Clustering.ProviderCol, Clustering.ClusterCol).count()
+      assert(partsPerCluster.filter(col("count") > 1).count() > 0, "expected split clusters")
+      // the rows of a split cluster reach the in-memory collect apart
+      agreesOnRandomQueries(Seq(BlockClusterEval.fromDataFrame(spread, fed.dims),
+        InMemoryClusterEval.fromDataFrame(spread, fed.dims)), seed = 6)
+    } finally spread.unpersist()
   }
 
   test("parquet evaluation agrees with in-memory and DuckDB on random queries") {
@@ -255,59 +256,60 @@ class ClusterEvalSpec extends SparkSpec {
     val pageRows = 12
     assert(fed.S > 2 * pageRows, s"S = ${fed.S}")
     val dir = Files.createTempDirectory("repro-pages-")
-    for (m <- fed.metas)
-      fed.clustered.filter(col(Clustering.ProviderCol) === m.providerId).coalesce(1)
-        .sortWithinPartitions(Clustering.ClusterCol)
-        .write.mode("append")
-        .option("parquet.block.size", 1024L)
-        .option("parquet.block.size.row.check.min", 10L)
-        .option("parquet.block.size.row.check.max", 10L)
-        .option("parquet.enable.dictionary", false)
-        .option("parquet.page.size", 64L)
-        .option("parquet.page.row.count.limit", pageRows.toLong)
-        .option("parquet.page.size.row.check.min", 1L)
-        .option("parquet.page.size.row.check.max", 1L)
-        .parquet(dir.toString)
-    val store = spark.read.parquet(dir.toString)
-    val conf = spark.sparkContext.hadoopConfiguration
-    for (f <- store.inputFiles)
-      Using.resource(ParquetFileReader.open(HadoopInputFile.fromPath(new Path(f), conf))) { r =>
-        val groups = r.getFooter.getBlocks.asScala.toSeq
-        def chunk(g: BlockMetaData, c: String) = g.getColumns.asScala.find(_.getPath.toDotString == c).get
-        val ids = groups.map(g => chunk(g, Clustering.ClusterCol).getStatistics)
-        assert(ids.sliding(2).exists { case Seq(a, b) => a.genericGetMax == b.genericGetMin },
-          s"$f: no cluster straddles two of its ${groups.size} row groups")
-        def pageStarts(c: String) = groups.map { g =>
-          val index = r.readOffsetIndex(chunk(g, c))
-          (0 until index.getPageCount).map(index.getFirstRowIndex)
+    try {
+      for (m <- fed.metas)
+        fed.clustered.filter(col(Clustering.ProviderCol) === m.providerId).coalesce(1)
+          .sortWithinPartitions(Clustering.ClusterCol)
+          .write.mode("append")
+          .option("parquet.block.size", 1024L)
+          .option("parquet.block.size.row.check.min", 10L)
+          .option("parquet.block.size.row.check.max", 10L)
+          .option("parquet.enable.dictionary", false)
+          .option("parquet.page.size", 64L)
+          .option("parquet.page.row.count.limit", pageRows.toLong)
+          .option("parquet.page.size.row.check.min", 1L)
+          .option("parquet.page.size.row.check.max", 1L)
+          .parquet(dir.toString)
+      val store = spark.read.parquet(dir.toString)
+      val conf = spark.sparkContext.hadoopConfiguration
+      for (f <- store.inputFiles)
+        Using.resource(ParquetFileReader.open(HadoopInputFile.fromPath(new Path(f), conf))) { r =>
+          val groups = r.getFooter.getBlocks.asScala.toSeq
+          def chunk(g: BlockMetaData, c: String) = g.getColumns.asScala.find(_.getPath.toDotString == c).get
+          val ids = groups.map(g => chunk(g, Clustering.ClusterCol).getStatistics)
+          assert(ids.sliding(2).exists { case Seq(a, b) => a.genericGetMax == b.genericGetMin },
+            s"$f: no cluster straddles two of its ${groups.size} row groups")
+          def pageStarts(c: String) = groups.map { g =>
+            val index = r.readOffsetIndex(chunk(g, c))
+            (0 until index.getPageCount).map(index.getFirstRowIndex)
+          }
+          assert(pageStarts(Clustering.ClusterCol) != pageStarts(Tensor.MeasureCol),
+            s"$f: ${Clustering.ClusterCol} and ${Tensor.MeasureCol} pages start at the same rows")
         }
-        assert(pageStarts(Clustering.ClusterCol) != pageStarts(Tensor.MeasureCol),
-          s"$f: ${Clustering.ClusterCol} and ${Tensor.MeasureCol} pages start at the same rows")
+      val eval = ParquetClusterEval.fromStore(store)
+      val nRows = fed.metas.flatMap(m => m.clusters.map(c => (m.providerId, c.clusterId) -> c.nRows)).toMap
+      val rng = new scala.util.Random(8)
+      // provider 9 has no file, cluster 100000 does not exist, and the first
+      // random sample lists more than 10 ids for every provider
+      val samples = Map.empty[Int, Seq[Int]] +: Map(0 -> Seq.empty[Int], 9 -> Seq(0)) +:
+        Seq.tabulate(10) { i =>
+          fed.metas.filter(_ => i == 0 || rng.nextDouble() < 0.8).map { m =>
+            m.providerId -> (100000 +: rng.shuffle(m.clusters.map(_.clusterId))
+              .take(if (i == 0) 11 + rng.nextInt(6) else 1 + rng.nextInt(16)))
+          }.toMap
+        }
+      for (sampled <- samples) {
+        val q = Datasets.randomQuery(Datasets.adultDims, 1 + rng.nextInt(4),
+          if (rng.nextBoolean()) Agg.Count else Agg.SumMeasure, rng)
+        val before = eval.rowsDecoded
+        assert(eval.perCluster(sampled, q) == memEval.perCluster(sampled, q), s"query $q, sample $sampled")
+        // a sampled cluster's pages hold at most pageRows - 1 rows of other
+        // clusters at each end
+        val keys = ClusterEval.keysOf(sampled).flatMap(nRows.get)
+        val read = eval.rowsDecoded - before
+        assert(read >= keys.sum && read <= keys.map(_ + 2 * (pageRows - 1)).sum, s"read $read rows")
+        assert(eval.exactTotal(q) == memEval.exactTotal(q), s"query $q")
       }
-    val eval = ParquetClusterEval.fromStore(store)
-    val nRows = fed.metas.flatMap(m => m.clusters.map(c => (m.providerId, c.clusterId) -> c.nRows)).toMap
-    val rng = new scala.util.Random(8)
-    // provider 9 has no file, cluster 100000 does not exist, and the first
-    // random sample lists more than 10 ids for every provider
-    val samples = Map.empty[Int, Seq[Int]] +: Map(0 -> Seq.empty[Int], 9 -> Seq(0)) +:
-      Seq.tabulate(10) { i =>
-        fed.metas.filter(_ => i == 0 || rng.nextDouble() < 0.8).map { m =>
-          m.providerId -> (100000 +: rng.shuffle(m.clusters.map(_.clusterId))
-            .take(if (i == 0) 11 + rng.nextInt(6) else 1 + rng.nextInt(16)))
-        }.toMap
-      }
-    for (sampled <- samples) {
-      val q = Datasets.randomQuery(Datasets.adultDims, 1 + rng.nextInt(4),
-        if (rng.nextBoolean()) Agg.Count else Agg.SumMeasure, rng)
-      val before = eval.rowsDecoded
-      assert(eval.perCluster(sampled, q) == memEval.perCluster(sampled, q), s"query $q, sample $sampled")
-      // a sampled cluster's pages hold at most pageRows - 1 rows of other
-      // clusters at each end
-      val keys = ClusterEval.keysOf(sampled).flatMap(nRows.get)
-      val read = eval.rowsDecoded - before
-      assert(read >= keys.sum && read <= keys.map(_ + 2 * (pageRows - 1)).sum, s"read $read rows")
-      assert(eval.exactTotal(q) == memEval.exactTotal(q), s"query $q")
-    }
-    FileUtils.deleteDirectory(dir.toFile)
+    } finally FileUtils.deleteDirectory(dir.toFile)
   }
 }

@@ -1,5 +1,7 @@
 package repro.data
 
+import scala.util.Random
+
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestFixtures}
@@ -62,7 +64,8 @@ class DatasetsSpec extends SparkSpec {
   }
 
   test("random workload has the requested shape") {
-    val qs = Datasets.randomWorkload(Datasets.adultDims, m = 25, n = 3, Agg.Count, seed = 9)
+    val rng = new Random(9)
+    val qs = Seq.fill(25)(Datasets.randomQuery(Datasets.adultDims, 3, Agg.Count, rng))
     assert(qs.size == 25)
     assert(qs.forall(_.nDims == 3))
     assert(qs.forall(_.agg == Agg.Count))
@@ -70,7 +73,8 @@ class DatasetsSpec extends SparkSpec {
 
   test("workload ranges stay inside the declared domains") {
     val byName = Datasets.adultDims.map(d => d.name -> d).toMap
-    val qs = Datasets.randomWorkload(Datasets.adultDims, 50, 4, Agg.SumMeasure, seed = 10)
+    val rng = new Random(10)
+    val qs = Seq.fill(50)(Datasets.randomQuery(Datasets.adultDims, 4, Agg.SumMeasure, rng))
     for (q <- qs; r <- q.ranges) {
       val d = byName(r.dim)
       assert(r.lb >= d.lo && r.ub <= d.hi, s"range $r outside ${d}")
@@ -78,14 +82,17 @@ class DatasetsSpec extends SparkSpec {
   }
 
   test("workload dimensions within one query are distinct") {
-    val qs = Datasets.randomWorkload(Datasets.adultDims, 50, 5, Agg.Count, seed = 11)
+    val rng = new Random(11)
+    val qs = Seq.fill(50)(Datasets.randomQuery(Datasets.adultDims, 5, Agg.Count, rng))
     assert(qs.forall(q => q.ranges.map(_.dim).distinct.size == 5))
   }
 
   test("workloads are deterministic in the seed") {
-    val a = Datasets.randomWorkload(Datasets.adultDims, 10, 2, Agg.Count, seed = 12)
-    val b = Datasets.randomWorkload(Datasets.adultDims, 10, 2, Agg.Count, seed = 12)
-    assert(a == b)
+    def workload(seed: Long) = {
+      val rng = new Random(seed)
+      Seq.fill(10)(Datasets.randomQuery(Datasets.adultDims, 2, Agg.Count, rng))
+    }
+    assert(workload(12) == workload(12))
   }
 
   test("qualifying workload triggers approximation at every provider") {
@@ -99,7 +106,12 @@ class DatasetsSpec extends SparkSpec {
 
   test("n larger than the dimension count is rejected") {
     intercept[IllegalArgumentException](
-      Datasets.randomWorkload(Datasets.adultDims, 1, 99, Agg.Count, seed = 14))
+      Datasets.randomQuery(Datasets.adultDims, 7, Agg.Count, new Random(14)))
+    // a qualifying workload draws its queries the same way: it must not
+    // return queries on fewer dimensions
+    val e = intercept[IllegalArgumentException](Datasets.qualifyingWorkload(
+      TestFixtures.adultSmall.federation, Datasets.adultDims, m = 1, n = 7, Agg.Count, seed = 14))
+    assert(e.getMessage.contains("n=7 out of range"), e.getMessage)
   }
 
   test("dimension spec sanity") {

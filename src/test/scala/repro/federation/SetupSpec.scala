@@ -133,14 +133,15 @@ class SetupSpec extends SparkSpec {
     def build(storage: Storage) = Setup.build(spark, Datasets.adultRaw(spark, 2000, seed = 7L),
       Datasets.adultDims.map(_.name), nProviders = 2, clusterFrac = 0.05,
       FedConfig(nMin = 4), storage, seed = 9L)
-    val made = storeDir(build(Storage.Parquet()))
-    assert(made.getFileName.toString.startsWith("repro-fed-"))
-    TempStores.delete(made)
-    assert(!java.nio.file.Files.exists(made))
-    assert(storeDir(build(Storage.Parquet(Some(supplied.toString)))) == supplied)
-    TempStores.delete(supplied)
-    assert(java.nio.file.Files.exists(supplied.resolve("_SUCCESS")))
-    FileUtils.deleteDirectory(supplied.toFile)
+    try {
+      val made = storeDir(build(Storage.Parquet()))
+      assert(made.getFileName.toString.startsWith("repro-fed-"))
+      TempStores.delete(made)
+      assert(!java.nio.file.Files.exists(made))
+      assert(storeDir(build(Storage.Parquet(Some(supplied.toString)))) == supplied)
+      TempStores.delete(supplied)
+      assert(java.nio.file.Files.exists(supplied.resolve("_SUCCESS")))
+    } finally FileUtils.deleteDirectory(supplied.toFile)
   }
 
   test("a provider that receives no rows gets no metadata and no parquet file") {
